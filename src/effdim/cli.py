@@ -3,8 +3,9 @@ theorem-verification experiments driven by flat key=value config files.
 
 Exit codes: 0 on success (for `verify`: every non-vacuous row satisfied),
 1 when a verification row fails, 2 on any configuration or validation
-error.  Validation runs before any computation and a failed run never
-leaves a partial output file.
+error, including an output path that cannot be written.  Validation runs
+before any computation, and output is written atomically, so a failed run
+never leaves a partial output file.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 
 from .experiments import (
     MCConfig,
+    _replicates,
     lower_bound_experiment,
     mc_overshoot,
     mc_two_sided,
@@ -31,8 +33,8 @@ from .signals import (
     power_law_signal,
     save_signal,
     self_similar_signal,
-    simulate,
     zero_signal,
+    _write_atomic,
 )
 
 import numpy as np
@@ -118,14 +120,7 @@ def _build_signal(cfg: Config) -> Signal:
     if kind == "power-law":
         return power_law_signal(cfg.float("signal_s"), cfg.float("signal_c"), cfg.int("signal_N"))
     if kind == "self-similar":
-        params = SmoothnessClassParams(
-            s=cfg.float("signal_s"),
-            Q=cfg.float("signal_Q"),
-            alpha=cfg.float("signal_alpha"),
-            rho0=cfg.float("signal_rho0"),
-            N0=cfg.int("signal_N0"),
-        )
-        return self_similar_signal(params, cfg.int("signal_N"))
+        return self_similar_signal(_class_params(cfg), cfg.int("signal_N"))
     if kind in ("adversarial-short", "adversarial-long"):
         short, long = adversarial_pair(
             cfg.float("tau"), cfg.float("eps"),
@@ -140,6 +135,16 @@ def _build_signal(cfg: Config) -> Signal:
     )
 
 
+def _class_params(cfg: Config) -> SmoothnessClassParams:
+    return SmoothnessClassParams(
+        s=cfg.float("signal_s"),
+        Q=cfg.float("signal_Q"),
+        alpha=cfg.float("signal_alpha"),
+        rho0=cfg.float("signal_rho0"),
+        N0=cfg.int("signal_N0"),
+    )
+
+
 def _prior(cfg: Config) -> PriorParams:
     return PriorParams(
         kappa=cfg.float("kappa"),
@@ -148,34 +153,26 @@ def _prior(cfg: Config) -> PriorParams:
     )
 
 
-def _check_horizon(theta: Signal, n: int) -> None:
-    # Simulation zero-pads past the stored horizon, which silently drops the
-    # certified tail energy; only exact signals (tail 0) may be padded.
-    if theta.tail_energy > 0.0 and n > theta.n:
-        raise ValueError(
-            f"data length n = {n} exceeds the signal horizon N = {theta.n} "
-            "and the signal carries tail energy; increase signal_N or lower n"
-        )
-
-
-def _mc_config(cfg: Config, seed_override: int | None) -> MCConfig:
+def _mc_config(cfg: Config, seed_override: int | None,
+               replicates: int | None = None) -> MCConfig:
     seed = seed_override if seed_override is not None else cfg.int("seed")
     return MCConfig(
-        replicates=cfg.int("R"),
+        replicates=replicates or cfg.int("R"),
         n=cfg.int("n"),
         master_seed=seed,
         offsets=cfg.int_list("offsets", default="1"),
     )
 
 
-def _out_path(cfg: Config, out_override: str | None, required: bool = True) -> str | None:
-    if out_override is not None:
-        return out_override
-    if "out" in cfg:
-        return cfg.str("out")
-    if required:
-        raise ValueError(f"{cfg.path}: missing output path (key 'out' or --out)")
-    return None
+def _out_path(cfg: Config, out_override: str | None) -> str | None:
+    return out_override if out_override is not None else cfg.values.get("out")
+
+
+def _write_output(cfg: Config, out_override: str | None, text: str) -> None:
+    """Write a command's CSV, atomically, if --out or the config names a path."""
+    path = _out_path(cfg, out_override)
+    if path:
+        _write_atomic(path, text)
 
 
 def cmd_oracle(cfg: Config, out: str | None, seed: int | None) -> int:
@@ -183,11 +180,7 @@ def cmd_oracle(cfg: Config, out: str | None, seed: int | None) -> int:
     eps = cfg.float("eps")
     tau = cfg.float("tau")
     result = effective_dimension(theta, eps, tau)
-    csv = risk_curve_csv(theta, eps, tau)
-    path = _out_path(cfg, out, required=False)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(csv)
+    _write_output(cfg, out, risk_curve_csv(theta, eps, tau))
     print(f"d_tau={result.d_tau} r_tau={result.r_tau:.12g}")
     return 0
 
@@ -200,17 +193,11 @@ def cmd_posterior(cfg: Config, out: str | None, seed: int | None) -> int:
             raise ValueError(f"{cfg.path}: 'data' must list at least one value")
     else:
         theta = _build_signal(cfg)
-        n = cfg.int("n")
-        _check_horizon(theta, n)
-        use_seed = seed if seed is not None else cfg.int("seed")
-        x = simulate(theta, prior.epsilon, n, use_seed).x
-    post = pmf(x, prior)
+        # replicate 0 of the library's stream, keyed (seed, 0)
+        mc = _mc_config(cfg, seed, replicates=1)
+        x = next(_replicates(theta, prior.epsilon, mc)).x
     d_hat = map_dimension(x, prior)
-    csv = pmf_csv(post)
-    path = _out_path(cfg, out, required=False)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(csv)
+    _write_output(cfg, out, pmf_csv(pmf(x, prior)))
     print(f"d_hat={d_hat}")
     return 0
 
@@ -232,7 +219,6 @@ def cmd_verify(cfg: Config, out: str | None, seed: int | None) -> int:
         )
     else:
         theta = _build_signal(cfg)
-        _check_horizon(theta, mc.n)
         prior = _prior(cfg)
         tau = cfg.float("tau")
         label = cfg.str("signal")
@@ -262,21 +248,12 @@ def cmd_verify(cfg: Config, out: str | None, seed: int | None) -> int:
                 f"freq={row.dhat_freq:.6g} bound={row.theory_bound:.6g} "
                 f"vacuous={int(row.vacuous)} satisfied={int(row.satisfied)}"
             )
-    path = _out_path(cfg, out, required=False)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(report_csv(report))
+    _write_output(cfg, out, report_csv(report))
     return 0 if ok else 1
 
 
 def cmd_smoothness(cfg: Config, out: str | None, seed: int | None) -> int:
-    params = SmoothnessClassParams(
-        s=cfg.float("signal_s"),
-        Q=cfg.float("signal_Q"),
-        alpha=cfg.float("signal_alpha"),
-        rho0=cfg.float("signal_rho0"),
-        N0=cfg.int("signal_N0"),
-    )
+    params = _class_params(cfg)
     eps_grid = cfg.float_list("eps_grid")
     if not eps_grid:
         raise ValueError(f"{cfg.path}: 'eps_grid' must list at least one value")
@@ -286,11 +263,6 @@ def cmd_smoothness(cfg: Config, out: str | None, seed: int | None) -> int:
         epsilon=eps_grid[0],
     )
     mc = _mc_config(cfg, seed)
-    if mc.n > cfg.int("signal_N"):
-        raise ValueError(
-            f"data length n = {mc.n} exceeds signal_N = {cfg.int('signal_N')}; "
-            "the sweep signal carries tail energy, so n <= signal_N is required"
-        )
     report = smoothness_sweep(
         params, prior, cfg.float("tau"), eps_grid, mc,
         signal_N=cfg.int("signal_N"),
@@ -302,16 +274,15 @@ def cmd_smoothness(cfg: Config, out: str | None, seed: int | None) -> int:
             f"eps={row.eps:g} d_tau={row.d_tau} dhat_median={row.dhat_median:g} "
             f"shat_median={row.shat_median:.6g} ratio={row.ratio:.6g}"
         )
-    path = _out_path(cfg, out, required=False)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(report_csv(report))
+    _write_output(cfg, out, report_csv(report))
     return 0
 
 
 def cmd_make_signal(cfg: Config, out: str | None, seed: int | None) -> int:
     theta = _build_signal(cfg)
-    path = _out_path(cfg, out, required=True)
+    path = _out_path(cfg, out)
+    if not path:
+        raise ValueError(f"{cfg.path}: missing output path (key 'out' or --out)")
     save_signal(theta, path)
     print(f"wrote {path}: N={theta.n} tail_energy={theta.tail_energy:.17g}")
     return 0
@@ -342,7 +313,7 @@ def main(argv=None) -> int:
     try:
         cfg = Config.load(args.config)
         return _COMMANDS[args.command](cfg, args.out, args.seed)
-    except (ValueError, IndexError, FileNotFoundError) as exc:
+    except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ reported but flagged vacuous and never counted as evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -106,6 +106,8 @@ class ExperimentReport:
 
 
 def _fmt(v) -> str:
+    if isinstance(v, bool):
+        return str(int(v))
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)
@@ -119,31 +121,59 @@ def _require_se_replicates(cfg: MCConfig) -> None:
         )
 
 
-def _signal_label(theta: Signal, label: str | None) -> str:
-    if label:
-        return label
-    return f"signal(N={theta.n},energy={theta.total_energy:.6g})"
+def _require_A(what: str, A: float, op: str, name: str, t: float) -> None:
+    """Require A > 1 + t (op ">") or A < 1 + t (op "<"), t being named `name`."""
+    if not (A > 1.0 + t if op == ">" else A < 1.0 + t):
+        raise ValueError(
+            f"{what} requires A {op} 1 + {name}: A = {A:.6g}, 1 + {name} = {1 + t:.6g}"
+        )
 
 
-def _simulate_posteriors(theta: Signal, prior: PriorParams, cfg: MCConfig,
-                         seed_offset: int = 0):
-    """Yield (posterior, map dimension) for each replicate in index order."""
-    for r in range(cfg.replicates):
-        obs = simulate(theta, prior.epsilon, cfg.n, (cfg.master_seed, seed_offset + r))
+def _replicates(theta: Signal, eps: float, cfg: MCConfig, first: int = 0):
+    """Yield the observations of replicates first .. first + R - 1 in order.
+
+    Replicate r is simulated from the noise stream keyed
+    (master_seed, r).  A signal that carries tail energy is only observed
+    up to its stored horizon: past it `simulate` would zero-pad and so
+    silently drop the certified tail energy.
+    """
+    if theta.tail_energy > 0.0 and cfg.n > theta.n:
+        raise ValueError(
+            f"data length n = {cfg.n} exceeds the signal horizon N = {theta.n} "
+            "and the signal carries tail energy; increase signal_N or lower n"
+        )
+    for r in range(first, first + cfg.replicates):
+        yield simulate(theta, eps, cfg.n, (cfg.master_seed, r))
+
+
+def _envelope_report(kind: str, theta: Signal, prior: PriorParams, tau: float,
+                     cfg: MCConfig, label: str | None, rates: dict, d_tau: int,
+                     regions, extra: dict | None = None) -> ExperimentReport:
+    """Compare the posterior mass and MAP frequency of each offset's region
+    with the envelope sum over rates of exp(-rate*m)/rate.
+
+    regions[j] lists the disjoint (lo, hi) intervals, hi possibly
+    math.inf, whose union is the region of offset cfg.offsets[j].  A row
+    is satisfied when both empirical columns sit below the envelope plus
+    three standard errors; envelopes >= 1 are vacuous.
+    """
+    _require_se_replicates(cfg)
+    offsets, R = cfg.offsets, cfg.replicates
+    masses = np.zeros((len(offsets), R))
+    hits = np.zeros((len(offsets), R))
+    for r, obs in enumerate(_replicates(theta, prior.epsilon, cfg)):
         post = pmf(obs, prior)
-        yield post, map_dimension(obs, prior)
-
-
-def _mass_freq_rows(masses: np.ndarray, hits: np.ndarray, offsets, bounds) -> tuple:
-    """Fold per-replicate masses/indicators into BoundRow records."""
-    R = masses.shape[1]
+        d_hat = map_dimension(obs, prior)
+        for j, intervals in enumerate(regions):
+            masses[j, r] = sum(region_mass(post, lo, hi) for lo, hi in intervals)
+            hits[j, r] = any(lo <= d_hat <= hi for lo, hi in intervals)
     rows = []
     for j, m in enumerate(offsets):
         mass = float(np.mean(masses[j]))
         mass_se = float(np.std(masses[j], ddof=1) / math.sqrt(R))
         freq = float(np.mean(hits[j]))
         freq_se = math.sqrt(freq * (1.0 - freq) / R)
-        bound = bounds[j]
+        bound = sum(math.exp(-rate * m) / rate for rate in rates.values())
         rows.append(
             BoundRow(
                 offset=int(m),
@@ -157,7 +187,23 @@ def _mass_freq_rows(masses: np.ndarray, hits: np.ndarray, offsets, bounds) -> tu
                 and (freq <= bound + 3.0 * freq_se),
             )
         )
-    return tuple(rows)
+    meta = {
+        "kind": kind,
+        "theta": label or f"signal(N={theta.n},energy={theta.total_energy:.6g})",
+        "eps": prior.epsilon,
+        "tau": tau,
+        "kappa": prior.kappa,
+        "varkappa": prior.varkappa,
+        "A": prior.A,
+        **rates,
+        "d_tau": d_tau,
+        "R": R,
+        "n": cfg.n,
+        "master_seed": cfg.master_seed,
+        "offsets": ",".join(str(m) for m in offsets),
+        **(extra or {}),
+    }
+    return ExperimentReport(kind=kind, rows=tuple(rows), meta=meta)
 
 
 def mc_overshoot(theta: Signal, prior: PriorParams, tau: float, cfg: MCConfig,
@@ -167,39 +213,12 @@ def mc_overshoot(theta: Signal, prior: PriorParams, tau: float, cfg: MCConfig,
     Requires A > 1 + tau.  For each offset m, measures the mean posterior
     mass of {D >= d_tau + m} and the frequency of {d_hat >= d_tau + m}.
     """
-    A = prior.A
-    if not A > 1.0 + tau:
-        raise ValueError(
-            f"overshoot control requires A > 1 + tau: A = {A:.6g}, 1 + tau = {1 + tau:.6g}"
-        )
-    _require_se_replicates(cfg)
-    alpha = f_sup(A, tau).value
-    d_tau = effective_dimension(theta, prior.epsilon, tau).d_tau
-    offsets = cfg.offsets
-    masses = np.zeros((len(offsets), cfg.replicates))
-    hits = np.zeros((len(offsets), cfg.replicates))
-    for r, (post, d_hat) in enumerate(_simulate_posteriors(theta, prior, cfg)):
-        for j, m in enumerate(offsets):
-            masses[j, r] = region_mass(post, d_tau + m, math.inf)
-            hits[j, r] = 1.0 if d_hat >= d_tau + m else 0.0
-    bounds = [math.exp(-alpha * m) / alpha for m in offsets]
-    rows = _mass_freq_rows(masses, hits, offsets, bounds)
-    meta = {
-        "kind": "overshoot",
-        "theta": _signal_label(theta, label),
-        "eps": prior.epsilon,
-        "tau": tau,
-        "kappa": prior.kappa,
-        "varkappa": prior.varkappa,
-        "A": A,
-        "alpha": alpha,
-        "d_tau": d_tau,
-        "R": cfg.replicates,
-        "n": cfg.n,
-        "master_seed": cfg.master_seed,
-        "offsets": ",".join(str(m) for m in offsets),
-    }
-    return ExperimentReport(kind="overshoot", rows=rows, meta=meta)
+    _require_A("overshoot control", prior.A, ">", "tau", tau)
+    d = effective_dimension(theta, prior.epsilon, tau).d_tau
+    return _envelope_report(
+        "overshoot", theta, prior, tau, cfg, label, {"alpha": f_sup(prior.A, tau).value},
+        d, [[(d + m, math.inf)] for m in cfg.offsets],
+    )
 
 
 def mc_undershoot(theta: Signal, prior: PriorParams, tau: float, cfg: MCConfig,
@@ -210,39 +229,12 @@ def mc_undershoot(theta: Signal, prior: PriorParams, tau: float, cfg: MCConfig,
     mass of {D <= d_tau - m} and the frequency of {d_hat <= d_tau - m};
     offsets at or beyond d_tau give empty regions and mass 0.
     """
-    A = prior.A
-    if not A < 1.0 + tau:
-        raise ValueError(
-            f"undershoot control requires A < 1 + tau: A = {A:.6g}, 1 + tau = {1 + tau:.6g}"
-        )
-    _require_se_replicates(cfg)
-    beta = g_sup(A, tau).value
-    d_tau = effective_dimension(theta, prior.epsilon, tau).d_tau
-    offsets = cfg.offsets
-    masses = np.zeros((len(offsets), cfg.replicates))
-    hits = np.zeros((len(offsets), cfg.replicates))
-    for r, (post, d_hat) in enumerate(_simulate_posteriors(theta, prior, cfg)):
-        for j, m in enumerate(offsets):
-            masses[j, r] = region_mass(post, 1, d_tau - m)
-            hits[j, r] = 1.0 if d_hat <= d_tau - m else 0.0
-    bounds = [math.exp(-beta * m) / beta for m in offsets]
-    rows = _mass_freq_rows(masses, hits, offsets, bounds)
-    meta = {
-        "kind": "undershoot",
-        "theta": _signal_label(theta, label),
-        "eps": prior.epsilon,
-        "tau": tau,
-        "kappa": prior.kappa,
-        "varkappa": prior.varkappa,
-        "A": A,
-        "beta": beta,
-        "d_tau": d_tau,
-        "R": cfg.replicates,
-        "n": cfg.n,
-        "master_seed": cfg.master_seed,
-        "offsets": ",".join(str(m) for m in offsets),
-    }
-    return ExperimentReport(kind="undershoot", rows=rows, meta=meta)
+    _require_A("undershoot control", prior.A, "<", "tau", tau)
+    d = effective_dimension(theta, prior.epsilon, tau).d_tau
+    return _envelope_report(
+        "undershoot", theta, prior, tau, cfg, label, {"beta": g_sup(prior.A, tau).value},
+        d, [[(1, d - m)] for m in cfg.offsets],
+    )
 
 
 def mc_two_sided(theta: Signal, prior: PriorParams, tau: float, cfg: MCConfig,
@@ -258,102 +250,40 @@ def mc_two_sided(theta: Signal, prior: PriorParams, tau: float, cfg: MCConfig,
     role of both interval margins, so offsets must respect the condition's
     starting index (m >= N0, resp. m >= n0).
     """
-    A = prior.A
     tail_case = t0 is not None or N0 is not None
-    head_case = H0 is not None or n0 is not None
-    if tail_case == head_case:
+    if tail_case == (H0 is not None or n0 is not None):
         raise ValueError("pass exactly one of (t0, N0) or (H0, n0)")
-    _require_se_replicates(cfg)
     if tail_case:
-        if t0 is None or N0 is None:
-            raise ValueError("the tail-condition case needs both t0 and N0")
-        if not A > 1.0 + t0:
-            raise ValueError(
-                f"two-sided control (tail case) requires A > 1 + t0: "
-                f"A = {A:.6g}, 1 + t0 = {1 + t0:.6g}"
-            )
-        if not A < 1.0 + tau:
-            raise ValueError(
-                f"two-sided control (tail case) requires A < 1 + tau: "
-                f"A = {A:.6g}, 1 + tau = {1 + tau:.6g}"
-            )
-        membership = tail_condition(theta, prior.epsilon, tau, t0, N0)
-        if not membership.member:
-            raise ValueError(
-                "tail condition membership fails: first violation at "
-                f"d = {membership.first_violation}"
-            )
-        if min(cfg.offsets) < N0:
-            raise ValueError(
-                f"offsets must be >= N0 = {N0}: the upper margin of the "
-                "two-sided control starts there"
-            )
-        alpha = f_sup(A, t0).value
-        beta = g_sup(A, tau).value
-        kind = "two-sided-i"
-        extra = {"t0": t0, "N0": int(N0)}
+        kind, case, margin, condition = "two-sided-i", "tail", "upper", tail_condition
+        t_name, t, start_name, start = "t0", t0, "N0", N0
+        lower, upper = (t_name, t), ("tau", tau)
     else:
-        if H0 is None or n0 is None:
-            raise ValueError("the head-condition case needs both H0 and n0")
-        if not A > 1.0 + tau:
-            raise ValueError(
-                f"two-sided control (head case) requires A > 1 + tau: "
-                f"A = {A:.6g}, 1 + tau = {1 + tau:.6g}"
-            )
-        if not A < 1.0 + H0:
-            raise ValueError(
-                f"two-sided control (head case) requires A < 1 + H0: "
-                f"A = {A:.6g}, 1 + H0 = {1 + H0:.6g}"
-            )
-        membership = head_condition(theta, prior.epsilon, tau, H0, n0)
-        if not membership.member:
-            raise ValueError(
-                "head condition membership fails: first violation at "
-                f"d = {membership.first_violation}"
-            )
-        if min(cfg.offsets) < n0:
-            raise ValueError(
-                f"offsets must be >= n0 = {n0}: the lower margin of the "
-                "two-sided control starts there"
-            )
-        alpha = f_sup(A, tau).value
-        beta = g_sup(A, H0).value
-        kind = "two-sided-ii"
-        extra = {"H0": H0, "n0": int(n0)}
-
-    d_tau = membership.d_tau
-    offsets = cfg.offsets
-    masses = np.zeros((len(offsets), cfg.replicates))
-    hits = np.zeros((len(offsets), cfg.replicates))
-    for r, (post, d_hat) in enumerate(_simulate_posteriors(theta, prior, cfg)):
-        for j, m in enumerate(offsets):
-            outside = region_mass(post, 1, d_tau - m - 1) + region_mass(
-                post, d_tau + m + 1, math.inf
-            )
-            masses[j, r] = outside
-            hits[j, r] = 1.0 if (d_hat < d_tau - m or d_hat > d_tau + m) else 0.0
-    bounds = [
-        math.exp(-alpha * m) / alpha + math.exp(-beta * m) / beta for m in offsets
-    ]
-    rows = _mass_freq_rows(masses, hits, offsets, bounds)
-    meta = {
-        "kind": kind,
-        "theta": _signal_label(theta, label),
-        "eps": prior.epsilon,
-        "tau": tau,
-        "kappa": prior.kappa,
-        "varkappa": prior.varkappa,
-        "A": A,
-        "alpha": alpha,
-        "beta": beta,
-        "d_tau": d_tau,
-        "R": cfg.replicates,
-        "n": cfg.n,
-        "master_seed": cfg.master_seed,
-        "offsets": ",".join(str(m) for m in offsets),
-    }
-    meta.update(extra)
-    return ExperimentReport(kind=kind, rows=rows, meta=meta)
+        kind, case, margin, condition = "two-sided-ii", "head", "lower", head_condition
+        t_name, t, start_name, start = "H0", H0, "n0", n0
+        lower, upper = ("tau", tau), (t_name, t)
+    if t is None or start is None:
+        raise ValueError(f"the {case}-condition case needs both {t_name} and {start_name}")
+    what = f"two-sided control ({case} case)"
+    _require_A(what, prior.A, ">", *lower)
+    _require_A(what, prior.A, "<", *upper)
+    membership = condition(theta, prior.epsilon, tau, t, start)
+    if not membership.member:
+        raise ValueError(
+            f"{case} condition membership fails: first violation at "
+            f"d = {membership.first_violation}"
+        )
+    if min(cfg.offsets) < start:
+        raise ValueError(
+            f"offsets must be >= {start_name} = {start}: the {margin} margin of the "
+            "two-sided control starts there"
+        )
+    rates = {"alpha": f_sup(prior.A, lower[1]).value, "beta": g_sup(prior.A, upper[1]).value}
+    d = membership.d_tau
+    return _envelope_report(
+        kind, theta, prior, tau, cfg, label, rates,
+        d, [[(1, d - m - 1), (d + m + 1, math.inf)] for m in cfg.offsets],
+        extra={t_name: t, start_name: int(start)},
+    )
 
 
 def lower_bound_floor(Delta: float) -> float:
@@ -400,15 +330,11 @@ def lower_bound_experiment(tau: float, eps: float, L1: int, L2: int, Delta: floa
     d_short = effective_dimension(short, eps, tau).d_tau
     d_long = effective_dimension(long, eps, tau).d_tau
     R = cfg.replicates
-    hits1 = np.zeros(R)
-    hits2 = np.zeros(R)
-    for r in range(R):
-        obs1 = simulate(short, eps, cfg.n, (cfg.master_seed, r))
-        hits1[r] = 1.0 if map_dimension(obs1, prior) >= d_short + L1 else 0.0
-        obs2 = simulate(long, eps, cfg.n, (cfg.master_seed, R + r))
-        hits2[r] = 1.0 if map_dimension(obs2, prior) <= d_long - L2 else 0.0
-    p1 = float(np.mean(hits1))
-    p2 = float(np.mean(hits2))
+    # the short signal uses replicates 0 .. R-1, the long one R .. 2R-1
+    p1 = float(np.mean([map_dimension(obs, prior) >= d_short + L1
+                        for obs in _replicates(short, eps, cfg)]))
+    p2 = float(np.mean([map_dimension(obs, prior) <= d_long - L2
+                        for obs in _replicates(long, eps, cfg, first=R)]))
     se1 = math.sqrt(p1 * (1.0 - p1) / R)
     se2 = math.sqrt(p2 * (1.0 - p2) / R)
     combined = math.hypot(se1, se2)
@@ -520,17 +446,10 @@ def smoothness_sweep(class_params: SmoothnessClassParams, prior_template: PriorP
     for e_idx, eps in enumerate(eps_grid):
         d_tau = effective_dimension(theta, eps, tau).d_tau
         prior = PriorParams(prior_template.kappa, prior_template.varkappa, eps)
-        dhats = np.zeros(R, dtype=int)
-        shats = []
-        outside = 0
-        for r in range(R):
-            obs = simulate(theta, eps, cfg.n, (cfg.master_seed, e_idx * R + r))
-            d_hat = map_dimension(obs, prior)
-            dhats[r] = d_hat
-            if d_hat >= 2:
-                shats.append(smoothness_estimate(d_hat, eps))
-            if d_hat < c_lo * d_tau or d_hat > c_hi * d_tau:
-                outside += 1
+        dhats = [map_dimension(obs, prior)
+                 for obs in _replicates(theta, eps, cfg, first=e_idx * R)]
+        shats = [smoothness_estimate(d_hat, eps) for d_hat in dhats if d_hat >= 2]
+        outside = sum(d_hat < c_lo * d_tau or d_hat > c_hi * d_tau for d_hat in dhats)
         L = math.log(eps**-2)
         rows.append(
             SmoothnessRow(
@@ -570,49 +489,44 @@ def smoothness_sweep(class_params: SmoothnessClassParams, prior_template: PriorP
     return SmoothnessReport(rows=tuple(rows), meta=meta)
 
 
-def _meta_line(meta: dict) -> str:
-    parts = [f"{k}={_fmt(v)}" for k, v in meta.items()]
-    return f"{REPORT_HEADER_PREFIX} " + " ".join(parts)
+def _csv(meta: dict, columns: str, rows, footer: tuple = ()) -> str:
+    """Header line carrying the config, column names, one line per row."""
+    header = " ".join([REPORT_HEADER_PREFIX, *(f"{k}={_fmt(v)}" for k, v in meta.items())])
+    lines = [header, columns]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(footer)
+    return "\n".join(lines) + "\n"
 
 
 def report_csv(report) -> str:
-    """Deterministic CSV for any report type, config carried in the header."""
+    """Deterministic CSV for any report type, config carried in the header.
+
+    Floats are written at 17 significant digits (exact round trip) and
+    booleans as 0/1.
+    """
     if isinstance(report, ExperimentReport):
-        lines = [_meta_line(report.meta)]
-        lines.append("offset,posterior_mass,mass_se,dhat_freq,freq_se,theory_bound,vacuous,satisfied")
-        for r in report.rows:
-            lines.append(
-                f"{r.offset},{r.posterior_mass:.17g},{r.mass_se:.17g},"
-                f"{r.dhat_freq:.17g},{r.freq_se:.17g},{r.theory_bound:.17g},"
-                f"{int(r.vacuous)},{int(r.satisfied)}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv(
+            report.meta,
+            "offset,posterior_mass,mass_se,dhat_freq,freq_se,theory_bound,vacuous,satisfied",
+            map(astuple, report.rows),
+        )
     if isinstance(report, LowerBoundReport):
-        lines = [_meta_line(report.meta)]
-        lines.append("p1,se1,p2,se2,sum,combined_se,delta_prime,satisfied")
-        lines.append(
-            f"{report.p1:.17g},{report.se1:.17g},{report.p2:.17g},{report.se2:.17g},"
-            f"{report.total:.17g},{report.combined_se:.17g},"
-            f"{report.delta_prime:.17g},{int(report.satisfied)}"
+        return _csv(
+            report.meta,
+            "p1,se1,p2,se2,sum,combined_se,delta_prime,satisfied",
+            [astuple(report)[:-1]],  # every field but meta
         )
-        return "\n".join(lines) + "\n"
     if isinstance(report, SmoothnessReport):
-        lines = [_meta_line(report.meta)]
-        lines.append(
+        return _csv(
+            report.meta,
             "eps,d_tau,dhat_median,shat_median,median_abs_err,n_undefined,"
-            "outside_freq,ratio,bracket_lo,bracket_hi"
+            "outside_freq,ratio,bracket_lo,bracket_hi",
+            map(astuple, report.rows),
+            footer=(
+                "# note: the bracket columns are descriptive endpoints only; the "
+                "direction of the underlying probability statement is ambiguous, so "
+                "the asserted checks are the consistency rate and the interval "
+                "frequency, not the bracket itself",
+            ),
         )
-        for r in report.rows:
-            lines.append(
-                f"{r.eps:.17g},{r.d_tau},{r.dhat_median:.17g},{r.shat_median:.17g},"
-                f"{r.median_abs_err:.17g},{r.n_undefined},{r.outside_freq:.17g},"
-                f"{r.ratio:.17g},{r.bracket_lo:.17g},{r.bracket_hi:.17g}"
-            )
-        lines.append(
-            "# note: the bracket columns are descriptive endpoints only; the "
-            "direction of the underlying probability statement is ambiguous, so "
-            "the asserted checks are the consistency rate and the interval "
-            "frequency, not the bracket itself"
-        )
-        return "\n".join(lines) + "\n"
     raise TypeError(f"unknown report type: {type(report)!r}")

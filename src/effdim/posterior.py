@@ -151,22 +151,25 @@ def posterior_mean_theta(x, prior: PriorParams) -> np.ndarray:
 def region_mass(post: PosteriorOverD, lo: int, hi) -> float:
     """Posterior mass of {lo <= D <= hi}; hi may be math.inf.
 
-    The mass on {d > n} is a single analytic lump: it is included exactly
-    when hi is infinite and lo <= n + 1.  An empty region has mass 0.
+    The {d > n} lump is geometric, w(n + k) = w(n) q^k with q = e^-varkappa,
+    so its share of any interval is exact: dimensions n+a .. n+b carry
+    tail_mass * q^(a-1) * (1 - q^(b-a+1)).  Since tail_mass = pmf(n) q/(1-q),
+    q = tail_mass / (tail_mass + pmf(n)).  An empty region has mass 0.
     """
     if lo > hi:
         return 0.0
     lo_idx = max(int(lo), 1)
+    hi_idx = post.n if math.isinf(hi) else min(int(hi), post.n)
     total = 0.0
-    if math.isinf(hi):
-        if lo_idx <= post.n:
-            total += float(np.sum(post.pmf[lo_idx - 1 :]))
-        if lo <= post.n + 1:
-            total += post.tail_mass
-    else:
-        hi_idx = min(int(hi), post.n)
-        if lo_idx <= hi_idx:
-            total += float(np.sum(post.pmf[lo_idx - 1 : hi_idx]))
+    if lo_idx <= hi_idx:
+        total += float(np.sum(post.pmf[lo_idx - 1 : hi_idx]))
+    if hi > post.n and post.tail_mass > 0.0:
+        q = post.tail_mass / (post.tail_mass + float(post.pmf[-1]))
+        skipped = max(lo_idx - post.n - 1, 0)  # lump dimensions below lo
+        share = q**skipped
+        if not math.isinf(hi):
+            share *= -math.expm1((int(hi) - post.n - skipped) * math.log(q))
+        total += post.tail_mass * share
     return total
 
 

@@ -13,13 +13,16 @@ be simulated in any order, or concurrently, with identical results.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-# Partial-sum horizon for power-law tail certification; the remainder past
-# this point is bracketed by integrals.
-TAIL_PARTIAL_TERMS = 10**6
+# Power-law tails: terms summed directly before the Euler-Maclaurin
+# remainder takes over, and the outward rounding margin (16 units of
+# double-precision roundoff), which covers the few roundings in each term.
+TAIL_DIRECT_TERMS = 16
+TAIL_ROUNDING_MARGIN = 16 * 2.0**-53
 
 __all__ = [
     "Signal",
@@ -164,28 +167,45 @@ def simulate(theta: Signal, eps: float, n: int, seed) -> Observation:
 def _power_tail_bracket(p: float, m: int) -> tuple[float, float]:
     """Lower/upper bracket for sum_{i>m} i^-p with p > 1.
 
-    Partial sum out to TAIL_PARTIAL_TERMS plus integral bounds for the
-    remainder; the bracket width is O(M^-p), negligible against the value.
+    The first TAIL_DIRECT_TERMS terms are summed with math.fsum.  The rest,
+    sum_{i>=a} i^-p, is the Euler-Maclaurin expansion (DLMF 2.10.1)
+
+        a^(1-p)/(p-1) + a^-p/2 + p a^(-p-1)/12
+          - p(p+1)(p+2) a^(-p-3)/720 + p(p+1)...(p+4) a^(-p-5)/30240,
+
+    whose error is at most the first omitted term,
+    p(p+1)...(p+6) a^(-p-7)/1209600, because every even derivative of
+    x^-p is positive.  That bound widens the bracket, which is then
+    rounded outward by TAIL_ROUNDING_MARGIN.
     """
     m = int(m)
-    big_m = max(m, TAIL_PARTIAL_TERMS)
-    if big_m > m:
-        i = np.arange(m + 1, big_m + 1, dtype=float)
-        partial = float(np.sum(i**-p))
-    else:
-        partial = 0.0
-    r = p - 1.0
-    lower = partial + (big_m + 1.0) ** -r / r
-    upper = partial + big_m**-r / r
-    return lower, upper
+    a = m + TAIL_DIRECT_TERMS + 1
+    direct = math.fsum(float(i) ** -p for i in range(m + 1, a))
+    r3 = p * (p + 1.0) * (p + 2.0)
+    r5 = r3 * (p + 3.0) * (p + 4.0)
+    r7 = r5 * (p + 5.0) * (p + 6.0)
+    a_p = float(a) ** -p
+    remainder = math.fsum([
+        a * a_p / (p - 1.0),
+        a_p / 2.0,
+        p * a_p / (12.0 * a),
+        -r3 * a_p / (720.0 * a**3),
+        r5 * a_p / (30240.0 * a**5),
+    ])
+    error = r7 * a_p / (1209600.0 * a**7)
+    value = direct + remainder
+    return (
+        (value - error) * (1.0 - TAIL_ROUNDING_MARGIN),
+        (value + error) * (1.0 + TAIL_ROUNDING_MARGIN),
+    )
 
 
 def power_law_signal(s: float, c: float, N: int) -> Signal:
     """Signal with theta_i = c * i^-(s + 1/2) for i <= N.
 
     The energy beyond N, c^2 * sum_{i>N} i^-(2s+1), is certified by a
-    partial sum plus an integral remainder; the upper bracket is stored
-    so that membership checks stay conservative.
+    short exact sum plus a bounded Euler-Maclaurin remainder; the upper
+    bracket is stored so that membership checks stay conservative.
     """
     if not s > 0:
         raise ValueError(f"s must be positive, got {s}")
@@ -356,8 +376,27 @@ def save_signal(theta: Signal, path) -> None:
     """
     lines = [f"{SIGNAL_HEADER_PREFIX} N={theta.n} tail_energy={theta.tail_energy:.17g}"]
     lines.extend(f"{v:.17g}" for v in theta.coeffs)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
+
+
+def _write_atomic(path, text: str) -> None:
+    """Write text to path whole or not at all.
+
+    The text goes to a temporary file beside the target, which is then
+    renamed over it.  An OSError becomes a ValueError naming the path, so
+    an unusable output path is reported as bad input.
+    """
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def load_signal(path) -> Signal:
@@ -369,6 +408,9 @@ def load_signal(path) -> Signal:
     fields = dict(
         item.split("=", 1) for item in lines[0][len(SIGNAL_HEADER_PREFIX) :].split()
     )
+    missing = [f"{key}=" for key in ("N", "tail_energy") if key not in fields]
+    if missing:
+        raise ValueError(f"{path}: header lacks {' and '.join(missing)}")
     n = int(fields["N"])
     tail = float(fields["tail_energy"])
     coeffs = np.array([float(v) for v in lines[1:]], dtype=float)

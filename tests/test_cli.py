@@ -239,6 +239,25 @@ class TestSmoothnessCommand:
         text = out.read_text()
         assert "kind=smoothness" in text
 
+    def test_horizon_enforced(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "s.cfg", f"""
+            signal_s = 1
+            signal_Q = 1
+            signal_alpha = 0.1
+            signal_rho0 = 2
+            signal_N0 = 2
+            signal_N = 32
+            kappa = {KAPPA_A6}
+            varkappa = 0.5
+            tau = 1
+            eps_grid = 0.3
+            R = 10
+            n = 64
+            seed = 2
+        """)
+        assert main(["smoothness", "--config", cfg]) == 2
+        assert "signal horizon" in capsys.readouterr().err
+
     def test_missing_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "s.cfg", "signal_s = 1\n")
         assert main(["smoothness", "--config", cfg]) == 2
@@ -275,6 +294,41 @@ class TestMakeSignalCommand:
         """)
         assert main(["make-signal", "--config", cfg]) == 2
         assert "unknown signal kind" in capsys.readouterr().err
+
+
+class TestBadInputExitsTwo:
+    def test_signal_header_without_N(self, tmp_path, capsys):
+        sig = tmp_path / "theta.sig"
+        sig.write_text("# effdim-signal v1 tail_energy=0\n3.0\n2.0\n")
+        cfg = write_config(tmp_path, "c.cfg", f"""
+            signal = file
+            signal_path = {sig}
+            eps = 1
+            tau = 1
+        """)
+        assert main(["oracle", "--config", cfg]) == 2
+        assert "header lacks N=" in capsys.readouterr().err
+
+    def test_out_is_a_directory(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.cfg", f"""
+            signal = zero
+            signal_N = 8
+            eps = 1
+            tau = 1
+            out = {tmp_path}
+        """)
+        assert main(["oracle", "--config", cfg]) == 2
+        assert f"cannot write {tmp_path}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+    def test_out_in_a_missing_directory(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "m.cfg", f"""
+            signal = zero
+            signal_N = 4
+            out = {tmp_path / 'absent' / 'sig.txt'}
+        """)
+        assert main(["make-signal", "--config", cfg]) == 2
+        assert "cannot write" in capsys.readouterr().err
 
 
 class TestConfigFormat:

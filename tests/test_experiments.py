@@ -70,6 +70,14 @@ class TestOvershoot:
         assert report.all_satisfied  # vacuously: no evidence either way
 
 
+    def test_rejects_n_past_the_horizon_of_a_tail_signal(self):
+        # zero-padding would silently drop the certified tail energy
+        prior = prior_with_A(6.0, 2.0, 1.0)
+        cfg = MCConfig(replicates=100, n=20, master_seed=1, offsets=(1,))
+        with pytest.raises(ValueError, match="signal horizon N = 10"):
+            mc_overshoot(power_law_signal(2.0, 1.0, 10), prior, 1.0, cfg)
+
+
 class TestUndershoot:
     def test_requires_A_below_one_plus_tau(self):
         prior = prior_with_A(6.0, 2.0, 1.0)
@@ -232,6 +240,13 @@ class TestSmoothnessSweep:
         prior = prior_with_A(3.0, 0.5, 0.3)
         cfg = MCConfig(replicates=10, n=64, master_seed=seed, offsets=(1,))
         return smoothness_sweep(params, prior, 1.0, (0.3, 0.1, 0.03), cfg, signal_N=256)
+
+    def test_rejects_n_past_the_signal_horizon(self):
+        params = SmoothnessClassParams(s=1.0, Q=1.0, alpha=0.1, rho0=2.0, N0=2)
+        cfg = MCConfig(replicates=10, n=64, master_seed=1, offsets=(1,))
+        with pytest.raises(ValueError, match="signal horizon N = 32"):
+            smoothness_sweep(params, prior_with_A(3.0, 0.5, 0.3), 1.0, (0.3,), cfg,
+                             signal_N=32)
 
     def test_d_tau_nondecreasing(self):
         report = self.small_sweep()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effdim.posterior import (
     PriorParams,
@@ -246,17 +248,52 @@ class TestRegionMass:
         assert region_mass(post, 3, 2) == 0.0
         assert region_mass(post, 1, 0) == 0.0
 
-    def test_lump_only_counted_from_its_start(self):
+    def test_lump_share_is_geometric(self):
+        # w(n + k) = w(n) e^(-varkappa k), so every interval past n gets its
+        # exact share of the lump
         p = PriorParams(kappa=3.0, varkappa=0.5, epsilon=1.0)
         post = pmf(np.ones(4), p)
-        assert region_mass(post, post.n + 1, math.inf) == pytest.approx(
-            post.tail_mass, abs=1e-15
+        n, tail, q = post.n, post.tail_mass, math.exp(-0.5)
+        assert region_mass(post, n + 1, math.inf) == pytest.approx(tail, abs=1e-15)
+        assert region_mass(post, n + 2, math.inf) == pytest.approx(tail * q, rel=1e-12)
+        assert region_mass(post, n + 3, n + 5) == pytest.approx(
+            tail * (q**2 - q**5), rel=1e-12
         )
-        assert region_mass(post, post.n + 2, math.inf) == 0.0
-        # finite upper end never touches the lump
-        assert region_mass(post, 1, post.n + 50) == pytest.approx(
-            1.0 - post.tail_mass, abs=1e-12
+        assert region_mass(post, 1, n + 50) == pytest.approx(
+            1.0 - tail * q**50, abs=1e-12
         )
+
+    def test_beyond_data_matches_density_oracle(self):
+        # the lump used to count as 0 for lo > n + 1 and be dropped for a
+        # finite hi > n, so a region past the data could look empty
+        x = np.array([1.5, -0.3, 0.8])
+        kappa, varkappa, eps = 3.0, 0.3, 1.0
+        post = pmf(x, PriorParams(kappa, varkappa, eps))
+        oracle_pmf, oracle_tail = posterior_oracle(x, kappa, varkappa, eps)
+        q = math.exp(-varkappa)
+        for lo in (5, 6, 12):
+            share = oracle_tail * q ** (lo - 4)
+            assert region_mass(post, lo, math.inf) == pytest.approx(share, rel=1e-9)
+            assert region_mass(post, lo, lo + 2) == pytest.approx(
+                share * (1.0 - q**3), rel=1e-9
+            )
+        assert region_mass(post, 2, 10) == pytest.approx(
+            float(np.sum(oracle_pmf[1:])) + oracle_tail * (1.0 - q**7), rel=1e-9
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=30),
+        varkappa=st.floats(0.05, 5.0),
+        lo=st.integers(-2, 60),
+        width=st.integers(-1, 60),
+    )
+    def test_additive_and_normalised(self, x, varkappa, lo, width):
+        post = pmf(np.array(x), PriorParams(kappa=3.0, varkappa=varkappa, epsilon=1.0))
+        hi = lo + width
+        assert region_mass(post, 1, math.inf) == pytest.approx(1.0, abs=1e-12)
+        split = region_mass(post, lo, hi) + region_mass(post, hi + 1, math.inf)
+        assert split == pytest.approx(region_mass(post, lo, math.inf), abs=1e-12)
 
 
 class TestPmfCsv:

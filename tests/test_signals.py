@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import zeta
 
 from effdim.signals import (
@@ -15,6 +17,7 @@ from effdim.signals import (
     self_similar_signal,
     simulate,
     zero_signal,
+    _power_tail_bracket,
     _suffix_energy,
 )
 
@@ -101,6 +104,14 @@ class TestPowerLaw:
             exact = c * c * float(zeta(2.0 * s + 1.0, N + 1))
             assert theta.tail_energy == pytest.approx(exact, rel=1e-9)
             assert theta.tail_energy >= exact  # stored value is the upper bracket
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.floats(1.05, 9.0), m=st.integers(0, 10**7))
+    def test_tail_bracket_encloses_zeta(self, p, m):
+        lower, upper = _power_tail_bracket(p, m)
+        exact = float(zeta(p, m + 1))
+        assert lower <= exact <= upper
+        assert upper - lower <= 1e-11 * exact
 
     def test_frozen_tail_value(self):
         theta = power_law_signal(1.0, 1.0, 3)
@@ -227,3 +238,16 @@ class TestSerialization:
         path.write_text("# effdim-signal v1 N=3 tail_energy=0\n1.0\n2.0\n")
         with pytest.raises(ValueError, match="N=3"):
             load_signal(path)
+
+    def test_rejects_header_without_N(self, tmp_path):
+        path = tmp_path / "sig.txt"
+        path.write_text("# effdim-signal v1 tail_energy=0\n1.0\n")
+        with pytest.raises(ValueError, match="header lacks N="):
+            load_signal(path)
+
+    def test_unwritable_path_is_a_value_error(self, tmp_path):
+        with pytest.raises(ValueError, match="cannot write"):
+            save_signal(Signal([1.0]), tmp_path)  # a directory
+        with pytest.raises(ValueError, match="cannot write"):
+            save_signal(Signal([1.0]), tmp_path / "absent" / "sig.txt")
+        assert list(tmp_path.iterdir()) == []  # no temporary file left behind
