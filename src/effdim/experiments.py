@@ -160,18 +160,19 @@ def _envelope_report(kind: str, theta: Signal, prior: PriorParams, tau: float,
     _require_se_replicates(cfg)
     offsets, R = cfg.offsets, cfg.replicates
     masses = np.zeros((len(offsets), R))
-    hits = np.zeros((len(offsets), R))
+    hits = [0] * len(offsets)  # replicates whose MAP lands in each region
     for r, obs in enumerate(_replicates(theta, prior.epsilon, cfg)):
         post = pmf(obs, prior)
         d_hat = map_dimension(obs, prior)
         for j, intervals in enumerate(regions):
-            masses[j, r] = sum(region_mass(post, lo, hi) for lo, hi in intervals)
-            hits[j, r] = any(lo <= d_hat <= hi for lo, hi in intervals)
+            for lo, hi in intervals:
+                masses[j, r] += region_mass(post, lo, hi)
+                hits[j] += lo <= d_hat <= hi
     rows = []
     for j, m in enumerate(offsets):
         mass = float(np.mean(masses[j]))
         mass_se = float(np.std(masses[j], ddof=1) / math.sqrt(R))
-        freq = float(np.mean(hits[j]))
+        freq = hits[j] / R
         freq_se = math.sqrt(freq * (1.0 - freq) / R)
         bound = sum(math.exp(-rate * m) / rate for rate in rates.values())
         rows.append(

@@ -164,12 +164,14 @@ def region_mass(post: PosteriorOverD, lo: int, hi) -> float:
     if lo_idx <= hi_idx:
         total += float(np.sum(post.pmf[lo_idx - 1 : hi_idx]))
     if hi > post.n and post.tail_mass > 0.0:
-        q = post.tail_mass / (post.tail_mass + float(post.pmf[-1]))
-        skipped = max(lo_idx - post.n - 1, 0)  # lump dimensions below lo
-        share = q**skipped
-        if not math.isinf(hi):
-            share *= -math.expm1((int(hi) - post.n - skipped) * math.log(q))
-        total += post.tail_mass * share
+        a = max(lo_idx - post.n, 1)  # the region starts at lump dimension n + a
+        lump = post.tail_mass
+        if a > 1 or not math.isinf(hi):  # only part of the lump
+            q = post.tail_mass / (post.tail_mass + float(post.pmf[-1]))
+            lump *= q ** (a - 1)
+            if not math.isinf(hi):
+                lump *= -math.expm1((int(hi) - post.n - a + 1) * math.log(q))
+        total += lump
     return total
 
 
