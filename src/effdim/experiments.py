@@ -159,14 +159,16 @@ def _envelope_report(kind: str, theta: Signal, prior: PriorParams, tau: float,
     """
     _require_se_replicates(cfg)
     offsets, R = cfg.offsets, cfg.replicates
-    masses = np.zeros((len(offsets), R))
-    hits = [0] * len(offsets)  # replicates whose MAP lands in each region
+    masses = [[0.0] * R for _ in offsets]
+    # replicates whose MAP lands in each region; the intervals are disjoint,
+    # so a replicate counts at most once
+    hits = [0] * len(offsets)
     for r, obs in enumerate(_replicates(theta, prior.epsilon, cfg)):
         post = pmf(obs, prior)
         d_hat = map_dimension(obs, prior)
         for j, intervals in enumerate(regions):
             for lo, hi in intervals:
-                masses[j, r] += region_mass(post, lo, hi)
+                masses[j][r] += region_mass(post, lo, hi)
                 hits[j] += lo <= d_hat <= hi
     rows = []
     for j, m in enumerate(offsets):

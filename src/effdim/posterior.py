@@ -164,9 +164,9 @@ def region_mass(post: PosteriorOverD, lo: int, hi) -> float:
     if lo_idx <= hi_idx:
         total += float(np.sum(post.pmf[lo_idx - 1 : hi_idx]))
     if hi > post.n and post.tail_mass > 0.0:
-        a = max(lo_idx - post.n, 1)  # the region starts at lump dimension n + a
         lump = post.tail_mass
-        if a > 1 or not math.isinf(hi):  # only part of the lump
+        if lo_idx > post.n + 1 or not math.isinf(hi):  # only part of the lump
+            a = max(lo_idx - post.n, 1)  # the region starts at lump dimension n + a
             q = post.tail_mass / (post.tail_mass + float(post.pmf[-1]))
             lump *= q ** (a - 1)
             if not math.isinf(hi):

@@ -386,9 +386,7 @@ def _write_atomic(path, text: str) -> None:
     renamed over it.  An OSError becomes a ValueError naming the path, so
     an unusable output path is reported as bad input.
     """
-    path = os.fspath(path)
-    head, name = os.path.split(path)
-    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
             fh.write(text)
