@@ -193,7 +193,8 @@ def cmd_posterior(cfg: Config, out: str | None, seed: int | None) -> int:
             raise ValueError(f"{cfg.path}: 'data' must list at least one value")
     else:
         theta = _build_signal(cfg)
-        # replicate 0 of the library's stream, keyed (seed, 0)
+        # replicate 0 of the library's stream, which enforces the signal
+        # horizon; its key (seed, 0) is also how an integer seed is keyed
         mc = _mc_config(cfg, seed, replicates=1)
         x = next(_replicates(theta, prior.epsilon, mc)).x
     d_hat = map_dimension(x, prior)
