@@ -440,6 +440,8 @@ def smoothness_sweep(class_params: SmoothnessClassParams, prior_template: PriorP
         eps_grid[i + 1] >= eps_grid[i] for i in range(len(eps_grid) - 1)
     ):
         raise ValueError("eps_grid must be strictly decreasing")
+    if not all(0.0 < eps < 1.0 for eps in eps_grid):
+        raise ValueError(f"eps_grid values must lie in (0, 1), got {eps_grid}")
     if not 0.0 < c_lo < 1.0 < c_hi:
         raise ValueError(f"need c_lo < 1 < c_hi, got {c_lo}, {c_hi}")
     theta = self_similar_signal(class_params, signal_N)

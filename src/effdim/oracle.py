@@ -5,8 +5,8 @@ The tau-weighted quantization error of keeping the first d coordinates is
     r_tau(d) = sum_{i>d} theta_i^2 + tau * d * eps^2,
 
 and the effective tau-dimension is its smallest minimizer over d >= 1.
-All computations are exact finite arithmetic over the stored coefficients
-with the certified tail energy folded in.
+Everything is finite arithmetic over the stored coefficients with the
+certified tail energy folded in; conditions use certified block energies.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import Signal, _suffix_energy
+from .signals import Signal, _block_energy, _suffix_energy
 
 __all__ = [
     "OracleResult",
@@ -105,36 +105,24 @@ def tail_condition(
 ) -> TailConditionReport:
     """Check sum_{i=d_tau+1}^{d_tau+d} theta_i^2 <= t0 * eps^2 * d for all d >= N0.
 
-    Blocks inside the stored horizon are summed exactly.  Every block
-    reaching past the horizon is charged the entire remaining energy
-    (stored suffix plus tail_energy), which certifies all infinitely many
-    remaining d at once when that lump fits under the linear budget; the
-    check can therefore report a false non-membership but never a false
-    membership.
+    Blocks are compared through upper values (rounding margin of
+    _block_energy).  The first block reaching past the horizon is charged
+    the entire remaining energy (stored suffix plus tail_energy), which
+    certifies all infinitely many remaining d at once when that lump fits
+    under the linear budget; the check can therefore report a false
+    non-membership but never a false membership.
     """
     if not 0.0 < t0 < tau:
         raise ValueError(f"t0 must lie in (0, tau) = (0, {tau}), got {t0}")
     if not N0 >= 1:
         raise ValueError(f"N0 must be >= 1, got {N0}")
     d_tau = effective_dimension(theta, eps, tau).d_tau
-    n = theta.n
-    horizon = n - d_tau
-    budget = t0 * eps * eps
-    sq = theta.coeffs**2
-    first_violation = None
-    # exact blocks: d = N0 .. horizon
-    if horizon >= N0:
-        after = np.cumsum(sq[d_tau:])  # after[k-1] = sum of k coeffs past d_tau
-        ds = np.arange(N0, horizon + 1)
-        bad = np.nonzero(after[ds - 1] > budget * ds)[0]
-        if bad.size:
-            first_violation = int(ds[bad[0]])
-    # lump test for every d past the horizon
-    if first_violation is None:
-        remaining = float(np.sum(sq[d_tau:])) + theta.tail_energy
-        first_open_d = max(horizon + 1, int(N0))
-        if remaining > budget * first_open_d:
-            first_violation = first_open_d
+    horizon = theta.n - d_tau
+    # d = N0 .. horizon lie inside the stored range; the last d is past it
+    ds = np.arange(int(N0), max(horizon + 1, int(N0)) + 1)
+    _, upper = _block_energy(theta, d_tau + 1, d_tau + ds)
+    bad = np.nonzero(upper > t0 * eps * eps * ds)[0]
+    first_violation = int(ds[bad[0]]) if bad.size else None
     return TailConditionReport(
         member=first_violation is None,
         first_violation=first_violation,
@@ -158,30 +146,25 @@ def head_condition(
 ) -> HeadConditionReport:
     """Check sum_{i=d_tau-d+1}^{d_tau} theta_i^2 >= H0 * eps^2 * d for n0 <= d <= d_tau.
 
-    All head blocks lie inside the stored horizon, so the verification is
-    exact.  When d_tau < n0 there is nothing to check and the condition
-    holds vacuously (flagged in the report).
+    All head blocks lie inside the stored horizon; they are compared through
+    lower values (margin of _block_energy), so member is certified.  When
+    d_tau < n0 there is nothing to check and the condition holds vacuously
+    (flagged in the report).
     """
     if not H0 > tau:
         raise ValueError(f"H0 must exceed tau = {tau}, got {H0}")
     if not n0 >= 1:
         raise ValueError(f"n0 must be >= 1, got {n0}")
     d_tau = effective_dimension(theta, eps, tau).d_tau
-    if d_tau < n0:
-        return HeadConditionReport(
-            member=True, first_violation=None, d_tau=d_tau, vacuous=True
-        )
-    budget = H0 * eps * eps
-    sq = theta.coeffs**2
-    head = np.cumsum(sq[:d_tau][::-1])  # head[k-1] = sum of k coeffs ending at d_tau
-    ds = np.arange(int(n0), d_tau + 1)
-    bad = np.nonzero(head[ds - 1] < budget * ds)[0]
+    ds = np.arange(int(n0), d_tau + 1)  # empty when d_tau < n0
+    lower, _ = _block_energy(theta, d_tau - ds + 1, d_tau)
+    bad = np.nonzero(lower < H0 * eps * eps * ds)[0]
     first_violation = int(ds[bad[0]]) if bad.size else None
     return HeadConditionReport(
         member=first_violation is None,
         first_violation=first_violation,
         d_tau=d_tau,
-        vacuous=False,
+        vacuous=d_tau < n0,
     )
 
 

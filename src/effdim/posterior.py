@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rates import E_MINUS_1, penalty_constant
+from .rates import penalty_constant
 from .signals import Observation
 
 __all__ = [
@@ -41,7 +41,7 @@ class PriorParams:
     kappa scales the prior variance on the active coordinates, varkappa
     is the geometric decay of the dimension prior.  kappa <= e-1 is
     rejected outright: below that the posterior over the dimension does
-    not exist.
+    not exist.  All three must be finite.
     """
 
     kappa: float
@@ -49,14 +49,9 @@ class PriorParams:
     epsilon: float
 
     def __post_init__(self):
-        if not self.kappa > E_MINUS_1:
-            raise ValueError(
-                f"kappa must exceed e-1 = {E_MINUS_1:.12g}, got {self.kappa}"
-            )
-        if not self.varkappa > 0:
-            raise ValueError(f"varkappa must be positive, got {self.varkappa}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        penalty_constant(self.kappa, self.varkappa)  # validates both
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
     @property
     def A(self) -> float:
@@ -112,7 +107,10 @@ def pmf(x, prior: PriorParams) -> PosteriorOverD:
     """
     lw = log_weights(x, prior)
     # geometric continuation: sum_{k>=1} w(n) e^{-varkappa k} = w(n) / (e^varkappa - 1)
-    log_tail = lw[-1] - math.log(math.expm1(prior.varkappa))
+    try:
+        log_tail = lw[-1] - math.log(math.expm1(prior.varkappa))
+    except OverflowError:  # e^varkappa overflows, and then log(e^varkappa - 1) = varkappa
+        log_tail = lw[-1] - prior.varkappa
     shift = max(float(np.max(lw)), log_tail)
     w = np.exp(lw - shift)
     tail_w = math.exp(log_tail - shift)

@@ -53,14 +53,14 @@ def penalty_constant(kappa: float, varkappa: float) -> float:
 
     kappa must exceed e - 1 (below that the posterior over the dimension
     is not well defined) and varkappa must be positive; together these
-    force A > 1.
+    force A > 1.  Both must be finite.
     """
-    if not kappa > E_MINUS_1:
+    if not E_MINUS_1 < kappa < math.inf:
         raise ValueError(
-            f"kappa must exceed e-1 = {E_MINUS_1:.12g}, got {kappa}"
+            f"kappa must exceed e-1 = {E_MINUS_1:.12g} and be finite, got {kappa}"
         )
-    if not varkappa > 0:
-        raise ValueError(f"varkappa must be positive, got {varkappa}")
+    if not 0 < varkappa < math.inf:
+        raise ValueError(f"varkappa must be positive and finite, got {varkappa}")
     return math.log(kappa + 1.0) + 2.0 * varkappa
 
 

@@ -3,7 +3,7 @@
 Signals are finite coefficient vectors together with a certified upper
 value for the energy beyond the stored range, which keeps every
 downstream computation (oracle dimension, posterior, class membership)
-finite and exactly checkable.
+finite and checkable with certified rounding margins.
 
 Noise is generated by a counter-based keyed stream (Philox), so draw i
 of replicate r is a pure function of (master seed, r, i); replicates can
@@ -55,8 +55,9 @@ class Signal:
         arr = np.asarray(self.coeffs, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("coeffs must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("coeffs must be finite")
+        with np.errstate(over="ignore"):  # an overflowing energy is rejected too
+            if not np.isfinite(np.sum(arr**2)):
+                raise ValueError("coeffs must be finite, with a finite sum of squares")
         if not (np.isfinite(self.tail_energy) and self.tail_energy >= 0.0):
             raise ValueError(f"tail_energy must be >= 0, got {self.tail_energy}")
         arr = arr.copy()
@@ -255,11 +256,37 @@ def adversarial_pair(
 
 def _suffix_energy(theta: Signal) -> np.ndarray:
     """suffix[m] = stored energy beyond index m (1-based), m = 1..n."""
-    sq = theta.coeffs**2
-    rev = np.cumsum(sq[::-1])[::-1]
-    out = np.zeros(theta.n)
-    out[:-1] = rev[1:]
-    return out
+    rev = np.cumsum((theta.coeffs**2)[::-1])[::-1]
+    return np.append(rev[1:], 0.0)
+
+
+def _block_energy(theta: Signal, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Certified lower and upper values of sum_{i=a}^{b} theta_i^2.
+
+    a, b broadcast to 1-based ranges, 1 <= a <= b + 1; a range with b > n
+    covers every coefficient from a on and its upper value adds tail_energy.
+    E(k) = sum_{i>k} theta_i^2 is summed once from the far end, and
+    E(a-1) - E(b) is widened outward by M = (n + 12) u (E(a-1) + tail)
+    + n 2^-1074, u = 2^-53.  E(a-1) is E(b) plus at most n rounded squares
+    added one by one, so the difference is within n+1 roundings of size
+    u E(a-1); subtraction, tail addition and widening round once each; 8
+    units cover the roundings of the threshold compared against (at most
+    E(a-1) at the decision point); n 2^-1074 covers underflowing squares.
+    """
+    n = theta.n
+    suffix = _suffix_energy(theta)
+    energy = np.append(suffix[0] + theta.coeffs[0] ** 2, suffix)  # E(0..n)
+    tail = np.where(b > n, theta.tail_energy, 0.0)
+    value = energy[a - 1] - energy[np.minimum(b, n)]
+    margin = (n + 12) * 2.0**-53 * (energy[a - 1] + tail) + n * 2.0**-1074
+    return value - margin, value + tail + margin
+
+
+def _tail_class_lhs(theta: Signal, s: float) -> np.ndarray:
+    """Upper values of m^(2s) * sum_{k>m} theta_k^2 (tail included), m = 1..n."""
+    m = np.arange(1, theta.n + 1)
+    _, beyond = _block_energy(theta, m + 1, theta.n + 1)
+    return m ** (2.0 * s) * beyond
 
 
 @dataclass(frozen=True)
@@ -274,47 +301,27 @@ class MembershipReport:
 
 
 def check_membership(theta: Signal, params: SmoothnessClassParams) -> MembershipReport:
-    """Exact finite verification of tail-class and block lower bounds.
+    """Certified finite verification of tail-class and block lower bounds.
 
     The tail class requires m^(2s) * sum_{k>m} theta_k^2 <= Q for every
-    m up to the stored horizon; the unknown part beyond the horizon is
-    folded in through tail_energy, so a True verdict is conservative.
+    m up to the stored horizon, with tail_energy for the part beyond it.
     The block check requires sum_{i=m}^{ceil(rho0*m)} theta_i^2 >=
-    alpha*Q/m^(2s) for every checkable block start m >= N0.
+    alpha*Q/m^(2s) for every checkable block start m >= N0.  Both compare
+    _block_energy values widened by its margin, so True is conservative.
     """
-    s, Q = params.s, params.Q
-    n = theta.n
-    m = np.arange(1, n + 1, dtype=float)
-    lhs = m ** (2.0 * s) * (_suffix_energy(theta) + theta.tail_energy)
-    bad = np.nonzero(lhs > Q)[0]
-    in_tail = bad.size == 0
-    tail_violation = int(bad[0]) + 1 if bad.size else None
-
-    sq = theta.coeffs**2
-    blocks_hold = True
-    block_violation = None
-    checked = 0
-    start = int(params.N0)
-    while True:
-        end = math.ceil(params.rho0 * start)
-        if end > n:
-            break
-        checked += 1
-        block = float(np.sum(sq[start - 1 : end]))
-        if block < params.alpha * Q / start ** (2.0 * s):
-            blocks_hold = False
-            block_violation = start
-            break
-        start += 1
-    if checked == 0:
-        blocks_hold = False
-
+    bad = np.nonzero(_tail_class_lhs(theta, params.s) > params.Q)[0]
+    # block ends grow with the start, so the blocks that fit form a prefix
+    starts = np.arange(int(params.N0), theta.n + 1)
+    ends = np.ceil(params.rho0 * starts)
+    starts, ends = starts[ends <= theta.n], ends[ends <= theta.n].astype(int)
+    lower, _ = _block_energy(theta, starts, ends)
+    short = np.nonzero(lower < params.alpha * params.Q / starts ** (2.0 * params.s))[0]
     return MembershipReport(
-        in_tail_class=in_tail,
-        tail_first_violation=tail_violation,
-        blocks_hold=blocks_hold,
-        block_first_violation=block_violation,
-        n_blocks_checked=checked,
+        in_tail_class=bad.size == 0,
+        tail_first_violation=int(bad[0]) + 1 if bad.size else None,
+        blocks_hold=starts.size > 0 and short.size == 0,
+        block_first_violation=int(starts[short[0]]) if short.size else None,
+        n_blocks_checked=int(short[0]) + 1 if short.size else int(starts.size),
     )
 
 
@@ -323,26 +330,19 @@ def self_similar_signal(params: SmoothnessClassParams, N: int) -> Signal:
 
     Takes theta_i proportional to i^-(s + 1/2) at the largest scale the
     tail class allows (so the block lower bounds have maximal slack) and
-    verifies both class conditions exactly; raises if either fails.
+    verifies both class conditions; raises if either fails.
     """
-    if not N >= 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    N = int(N)
-    if math.ceil(params.rho0 * params.N0) > N:
+    unit = power_law_signal(params.s, 1.0, N)  # also checks N >= 1
+    if math.ceil(params.rho0 * params.N0) > unit.n:
         raise ValueError(
-            f"horizon N={N} is too small to verify any block: the first "
+            f"horizon N={unit.n} is too small to verify any block: the first "
             f"block [{params.N0}, {math.ceil(params.rho0 * params.N0)}] "
             "does not fit; increase N"
         )
-    s, Q = params.s, params.Q
-    unit = power_law_signal(s, 1.0, N)
-    m = np.arange(1, N + 1, dtype=float)
-    sup_ratio = float(
-        np.max(m ** (2.0 * s) * (_suffix_energy(unit) + unit.tail_energy))
-    )
+    sup_ratio = float(np.max(_tail_class_lhs(unit, params.s)))
     # Largest tail-class-feasible scale, shaved by 1e-12 so the conservative
     # re-check below cannot fail to rounding.
-    scale_sq = (Q / sup_ratio) * (1.0 - 1e-12)
+    scale_sq = (params.Q / sup_ratio) * (1.0 - 1e-12)
     candidate = Signal(
         math.sqrt(scale_sq) * unit.coeffs, scale_sq * unit.tail_energy
     )
@@ -353,13 +353,9 @@ def self_similar_signal(params: SmoothnessClassParams, N: int) -> Signal:
             f"m = {report.tail_first_violation}"
         )
     if not report.blocks_hold:
-        where = (
-            f"block start {report.block_first_violation}"
-            if report.block_first_violation is not None
-            else "no checkable block"
-        )
         raise ValueError(
-            f"construction failure: self-similar block bound fails at {where} "
+            "construction failure: self-similar block bound fails at block "
+            f"start {report.block_first_violation} "
             f"(alpha = {params.alpha}, rho0 = {params.rho0})"
         )
     return candidate
@@ -397,21 +393,32 @@ def _write_atomic(path, text: str) -> None:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _parse(kind, text: str, where: str):
+    """kind(text), or a ValueError naming where the text was read."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{where}: cannot read {text!r} as {kind.__name__}") from None
+
+
 def load_signal(path) -> Signal:
-    """Read the plain-text column format written by save_signal."""
+    """Read the save_signal format; errors name the path and the bad item or line."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith(SIGNAL_HEADER_PREFIX):
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or not lines[0][1].startswith(SIGNAL_HEADER_PREFIX):
         raise ValueError(f"{path}: not an effdim-signal v1 file")
-    fields = dict(
-        item.split("=", 1) for item in lines[0][len(SIGNAL_HEADER_PREFIX) :].split()
-    )
+    header = lines[0][1][len(SIGNAL_HEADER_PREFIX) :]
+    items = [item.partition("=") for item in header.split()]
+    for key, eq, _ in items:
+        if not eq:
+            raise ValueError(f"{path}: header item {key!r} is not key=value")
+    fields = {key: value for key, _, value in items}
     missing = [f"{key}=" for key in ("N", "tail_energy") if key not in fields]
     if missing:
         raise ValueError(f"{path}: header lacks {' and '.join(missing)}")
-    n = int(fields["N"])
-    tail = float(fields["tail_energy"])
-    coeffs = np.array([float(v) for v in lines[1:]], dtype=float)
+    n = _parse(int, fields["N"], f"{path}: header N")
+    tail = _parse(float, fields["tail_energy"], f"{path}: header tail_energy")
+    coeffs = np.array([_parse(float, text, f"{path}: line {no}") for no, text in lines[1:]])
     if coeffs.size != n:
         raise ValueError(
             f"{path}: header says N={n} but found {coeffs.size} coefficients"

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths: the rate suprema
 are found by concave grid refinement, power-law tails come from the
-Hurwitz zeta function, and the dimension posterior is rebuilt from raw
-Gaussian density products.
+Hurwitz zeta function, the dimension posterior is rebuilt from raw
+Gaussian density products, and the class and condition checks are the
+plain per-block sums they replace.
 """
 
 import math
@@ -92,3 +93,53 @@ def posterior_oracle(x, kappa, varkappa, eps):
     tail_num = common * c_vk * math.exp(-varkappa * (n + 1)) / (1.0 - math.exp(-varkappa))
     z = float(np.sum(nums)) + tail_num
     return nums / z, tail_num / z
+
+
+def loop_membership(theta, params):
+    """Membership by one np.sum per block start, with no rounding margin.
+
+    Returns (in_tail_class, tail_first_violation, blocks_hold,
+    block_first_violation, n_blocks_checked) in MembershipReport order.
+    """
+    sq = np.asarray(theta.coeffs, dtype=float) ** 2
+    n, s, Q = sq.size, params.s, params.Q
+    tail_bad = [m for m in range(1, n + 1)
+                if m ** (2.0 * s) * (float(np.sum(sq[m:])) + theta.tail_energy) > Q]
+    checked, violation = 0, None
+    start = int(params.N0)
+    while math.ceil(params.rho0 * start) <= n:
+        checked += 1
+        if float(np.sum(sq[start - 1 : math.ceil(params.rho0 * start)])) < (
+                params.alpha * Q / start ** (2.0 * s)):
+            violation = start
+            break
+        start += 1
+    return (not tail_bad, tail_bad[0] if tail_bad else None,
+            checked > 0 and violation is None, violation, checked)
+
+
+def cumsum_tail_condition(coeffs, tail_energy, d_tau, t0, eps, N0):
+    """First violating d of the tail condition from a forward cumsum past
+    d_tau, with the whole remaining energy charged to the first d past the
+    horizon; None when every d passes."""
+    sq = np.asarray(coeffs, dtype=float) ** 2
+    horizon = sq.size - d_tau
+    budget = t0 * eps * eps
+    after = np.cumsum(sq[d_tau:])
+    for d in range(N0, horizon + 1):
+        if after[d - 1] > budget * d:
+            return d
+    first_open_d = max(horizon + 1, N0)
+    if float(np.sum(sq[d_tau:])) + tail_energy > budget * first_open_d:
+        return first_open_d
+    return None
+
+
+def cumsum_head_condition(coeffs, d_tau, H0, eps, n0):
+    """First violating d of the head condition from a cumsum backwards from
+    d_tau; None when every d passes (or none is checked)."""
+    head = np.cumsum(np.asarray(coeffs, dtype=float)[:d_tau][::-1] ** 2)
+    for d in range(n0, d_tau + 1):
+        if head[d - 1] < H0 * eps * eps * d:
+            return d
+    return None

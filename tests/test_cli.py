@@ -93,6 +93,20 @@ class TestPosteriorCommand:
         assert main(["posterior", "--config", cfg]) == 2
         assert "kappa must exceed e-1" in capsys.readouterr().err
 
+    def test_infinite_hyperparameters_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "pmf.csv"
+        for kappa, varkappa in [("inf", "1"), ("3", "inf")]:
+            cfg = write_config(tmp_path, "c.cfg", f"""
+                data = 1, 2
+                kappa = {kappa}
+                varkappa = {varkappa}
+                eps = 1
+                out = {out}
+            """)
+            assert main(["posterior", "--config", cfg]) == 2
+            assert "finite, got inf" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_horizon_enforced_for_tail_signals(self, tmp_path, capsys):
         # a generated signal with positive tail energy cannot be padded
         cfg = write_config(tmp_path, "c.cfg", f"""

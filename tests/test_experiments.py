@@ -268,6 +268,17 @@ class TestSmoothnessSweep:
         with pytest.raises(ValueError, match="decreasing"):
             smoothness_sweep(params, prior, 1.0, (0.1, 0.3), cfg, signal_N=256)
 
+    def test_whole_grid_validated_before_any_computation(self, monkeypatch):
+        def no_signal(*args, **kwargs):
+            raise AssertionError("the signal was built before the grid was checked")
+
+        monkeypatch.setattr("effdim.experiments.self_similar_signal", no_signal)
+        params = SmoothnessClassParams(s=1.0, Q=1.0, alpha=0.1, rho0=2.0, N0=2)
+        cfg = MCConfig(replicates=10, n=64, master_seed=1, offsets=(1,))
+        with pytest.raises(ValueError, match=r"eps_grid values must lie in \(0, 1\)"):
+            smoothness_sweep(params, prior_with_A(3.0, 0.5, 0.3), 1.0, (2.0, 0.3), cfg,
+                             signal_N=256)
+
     def test_interval_constants_validated(self):
         params = SmoothnessClassParams(s=1.0, Q=1.0, alpha=0.1, rho0=2.0, N0=2)
         prior = prior_with_A(3.0, 0.5, 0.3)

@@ -13,7 +13,7 @@ from effdim.oracle import (
 )
 from effdim.signals import Signal, adversarial_pair, power_law_signal, zero_signal
 
-from helpers import naive_effective_dimension
+from helpers import cumsum_head_condition, cumsum_tail_condition, naive_effective_dimension
 
 
 def random_signal(rng, max_n=200):
@@ -171,6 +171,24 @@ class TestTailCondition:
         assert not report.member
         assert report.first_violation == 6
 
+    def test_agrees_with_the_cumsum_reference(self):
+        # continuous random draws keep every block far from its budget
+        # relative to the rounding margin, so verdicts must agree
+        rng = np.random.default_rng(41)
+        seen = set()
+        for _ in range(400):
+            n = int(rng.integers(1, 80))
+            decay = np.exp(-rng.uniform(0.0, 0.2) * np.arange(n))
+            coeffs = rng.normal(size=n) * rng.uniform(0.05, 3.0) * decay
+            tau, eps = float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.2, 1.5))
+            theta = Signal(coeffs, float(rng.uniform(0.0, 1.0)) * tau * eps * eps)
+            t0, N0 = float(rng.uniform(0.05, 0.95)) * tau, int(rng.integers(1, 8))
+            report = tail_condition(theta, eps, tau, t0, N0)
+            want = cumsum_tail_condition(coeffs, theta.tail_energy, report.d_tau, t0, eps, N0)
+            assert report.first_violation == want and report.member == (want is None)
+            seen.add((report.member, report.horizon_warning))
+        assert len(seen) == 4
+
     def test_validation(self):
         with pytest.raises(ValueError, match="t0"):
             tail_condition(zero_signal(5), 1.0, 1.0, 1.0, 1)
@@ -200,6 +218,21 @@ class TestHeadCondition:
         report = head_condition(zero_signal(10), 1.0, 1.0, 2.0, 3)
         assert report.member and report.vacuous
         assert report.d_tau == 1
+
+    def test_agrees_with_the_cumsum_reference(self):
+        rng = np.random.default_rng(43)
+        seen = set()
+        for _ in range(400):
+            n = int(rng.integers(1, 80))
+            coeffs = rng.normal(size=n) * rng.uniform(0.5, 4.0)
+            tau, eps = float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.2, 1.5))
+            H0, n0 = tau * float(rng.uniform(1.01, 2.0)), int(rng.integers(1, 6))
+            report = head_condition(Signal(coeffs), eps, tau, H0, n0)
+            want = cumsum_head_condition(coeffs, report.d_tau, H0, eps, n0)
+            assert report.first_violation == want and report.member == (want is None)
+            assert report.vacuous == (report.d_tau < n0)
+            seen.add((report.member, report.vacuous))
+        assert len(seen) == 3
 
     def test_validation(self):
         with pytest.raises(ValueError, match="H0"):

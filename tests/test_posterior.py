@@ -33,6 +33,14 @@ class TestPriorParams:
         with pytest.raises(ValueError, match="epsilon"):
             PriorParams(kappa=2.0, varkappa=1.0, epsilon=0.0)
 
+    def test_rejects_infinite_values(self):
+        with pytest.raises(ValueError, match="kappa must exceed e-1 = .* and be finite"):
+            PriorParams(kappa=math.inf, varkappa=1.0, epsilon=1.0)
+        with pytest.raises(ValueError, match="varkappa must be positive and finite"):
+            PriorParams(kappa=2.0, varkappa=math.inf, epsilon=1.0)
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            PriorParams(kappa=2.0, varkappa=1.0, epsilon=math.inf)
+
     def test_penalty_constant_property(self):
         p = PriorParams(kappa=math.e**2 - 1.0, varkappa=2.0, epsilon=1.0)
         assert p.A == pytest.approx(6.0, abs=1e-12)
@@ -118,6 +126,14 @@ class TestPmf:
             x = rng.normal(scale=2.0, size=n)
             post = pmf(x, PriorParams(kappa=3.0, varkappa=10.0, epsilon=1.0))
             assert post.tail_mass < 1e-4
+
+    def test_varkappa_past_the_exp_overflow(self):
+        # e^varkappa overflows a double from varkappa ~ 709.8 on
+        x = np.array([3.0, 1.0, 0.5, 0.1])
+        for varkappa in (710.0, 1000.0):
+            post = pmf(x, PriorParams(kappa=3.0, varkappa=varkappa, epsilon=1.0))
+            assert np.isfinite(post.pmf).all() and math.isfinite(post.tail_mass)
+            assert np.sum(post.pmf) + post.tail_mass == pytest.approx(1.0, abs=1e-12)
 
     def test_overflow_safe_at_small_eps(self):
         x = np.full(30, 5.0)

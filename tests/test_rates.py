@@ -37,6 +37,12 @@ class TestPenaltyConstant:
         with pytest.raises(ValueError, match="varkappa"):
             penalty_constant(2.0, 0.0)
 
+    def test_rejects_infinite_values(self):
+        with pytest.raises(ValueError, match="kappa must exceed e-1 = .* and be finite"):
+            penalty_constant(math.inf, 0.5)
+        with pytest.raises(ValueError, match="varkappa must be positive and finite"):
+            penalty_constant(2.0, math.inf)
+
     def test_always_above_one(self):
         rng = np.random.default_rng(0)
         for _ in range(200):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,9 +18,12 @@ from effdim.signals import (
     self_similar_signal,
     simulate,
     zero_signal,
+    _block_energy,
     _power_tail_bracket,
     _suffix_energy,
 )
+
+from helpers import loop_membership
 
 
 class TestSignalType:
@@ -35,6 +39,8 @@ class TestSignalType:
             Signal([1.0], -1e-9)
         with pytest.raises(ValueError):
             Signal([np.inf])
+        with pytest.raises(ValueError, match="finite sum of squares"):
+            Signal([1e-3, 1e-3, 1e200])  # its energy overflows
 
     def test_coeffs_are_read_only(self):
         s = Signal([1.0, 2.0])
@@ -196,6 +202,36 @@ class TestSelfSimilar:
             self_similar_signal(params, 100)
 
 
+class TestBlockEnergy:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        coeffs=st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=500),
+        tail=st.floats(0.0, 1e300),
+        data=st.data(),
+    )
+    def test_values_bracket_the_exact_sum(self, coeffs, tail, data):
+        theta = Signal(coeffs, tail)
+        n = theta.n
+        a = np.array(data.draw(st.lists(st.integers(1, n + 1), min_size=1, max_size=20)))
+        b = np.array([data.draw(st.integers(int(lo) - 1, n + 1)) for lo in a])
+        lower, upper = _block_energy(theta, a, b)
+        exact_beyond = [Fraction(0)]  # exact sum_{i>k} of the stored squares, k = n..0
+        for c in reversed(theta.coeffs):
+            exact_beyond.append(exact_beyond[-1] + Fraction(float(c)) ** 2)
+        exact_beyond.reverse()
+        for lo, hi, low, up in zip(a, b, lower, upper):
+            stored = exact_beyond[lo - 1] - exact_beyond[min(hi, n)]
+            assert Fraction(float(low)) <= stored
+            assert stored + (Fraction(tail) if hi > n else 0) <= Fraction(float(up))
+
+    def test_margin_is_a_few_roundings_per_term(self):
+        theta = power_law_signal(1.0, 1.0, 1000)
+        lower, upper = _block_energy(theta, np.array([1, 10]), np.array([1000, 20]))
+        exact = np.array([math.fsum(theta.coeffs**2), math.fsum(theta.coeffs[9:20] ** 2)])
+        assert np.all(lower <= exact) and np.all(exact <= upper)
+        assert np.all(upper - lower <= 1e-12 * theta.coeffs[0] ** 2)
+
+
 class TestCheckMembership:
     def test_zero_signal(self):
         params = SmoothnessClassParams(s=1.0, Q=1.0, alpha=0.1, rho0=2.0, N0=1)
@@ -209,6 +245,30 @@ class TestCheckMembership:
         theta = self_similar_signal(params, 256)
         report = check_membership(theta, params)
         assert report.in_tail_class and report.blocks_hold
+
+    def test_agrees_with_the_block_loop(self):
+        # continuous random draws keep every compared value far from its
+        # threshold relative to the rounding margin, so verdicts must agree
+        rng = np.random.default_rng(31)
+        seen = set()
+        for _ in range(300):
+            n = int(rng.integers(2, 120))
+            s = float(rng.uniform(0.3, 2.0))
+            i = np.arange(1, n + 1)
+            coeffs = i ** -(s + 0.5) * rng.uniform(0.3, 1.7, n) * rng.choice([-1, 1], n)
+            theta = Signal(coeffs, float(rng.uniform(0.0, 2.0)) * n ** (-2.0 * s))
+            q_star = float(np.max(i ** (2.0 * s) * (_suffix_energy(theta) + theta.tail_energy)))
+            params = SmoothnessClassParams(
+                s=s, Q=q_star * float(rng.uniform(0.8, 1.25)),
+                alpha=float(rng.uniform(0.01, 0.6)), rho0=float(rng.uniform(1.1, 3.0)),
+                N0=int(rng.integers(1, 6)),
+            )
+            report = check_membership(theta, params)
+            got = (report.in_tail_class, report.tail_first_violation, report.blocks_hold,
+                   report.block_first_violation, report.n_blocks_checked)
+            assert got == loop_membership(theta, params)
+            seen.add((got[0], got[2], got[4] > 1))
+        assert len(seen) >= 6  # both verdicts of both checks, one block or many
 
 
 class TestSerialization:
@@ -243,6 +303,24 @@ class TestSerialization:
         path = tmp_path / "sig.txt"
         path.write_text("# effdim-signal v1 tail_energy=0\n1.0\n")
         with pytest.raises(ValueError, match="header lacks N="):
+            load_signal(path)
+
+    def test_header_item_without_equals_is_named(self, tmp_path):
+        path = tmp_path / "sig.txt"
+        path.write_text("# effdim-signal v1 N=1 tail_energy=0 junk\n1.0\n")
+        with pytest.raises(ValueError, match=r"sig.txt: header item 'junk' is not key=value"):
+            load_signal(path)
+
+    def test_non_integer_N_is_named(self, tmp_path):
+        path = tmp_path / "sig.txt"
+        path.write_text("# effdim-signal v1 N=x tail_energy=0\n1.0\n")
+        with pytest.raises(ValueError, match=r"sig.txt: header N: cannot read 'x' as int"):
+            load_signal(path)
+
+    def test_bad_coefficient_names_its_line(self, tmp_path):
+        path = tmp_path / "sig.txt"
+        path.write_text("# effdim-signal v1 N=3 tail_energy=0\n1.0\n\nabc\n2.0\n")
+        with pytest.raises(ValueError, match=r"sig.txt: line 4: cannot read 'abc' as float"):
             load_signal(path)
 
     def test_unwritable_path_is_a_value_error(self, tmp_path):
