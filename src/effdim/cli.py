@@ -34,10 +34,24 @@ from .signals import (
     save_signal,
     self_similar_signal,
     zero_signal,
+    _fmt,
+    _parse,
     _write_atomic,
 )
 
 import numpy as np
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+# what _parse calls these kinds in its error messages
+_int_list.__name__, _float_list.__name__ = "list of integers", "list of numbers"
 
 
 class Config:
@@ -67,68 +81,34 @@ class Config:
             values[key] = value
         return cls(values, path)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self.values
-
-    def _require(self, key: str) -> str:
+    def get(self, key: str, kind=str, default=None):
+        """The value of key read as kind; default if the key is absent and a
+        default is given.  Errors name the path, the key and the text."""
         if key not in self.values:
+            if default is not None:
+                return default
             raise ValueError(f"{self.path}: missing required key '{key}'")
-        return self.values[key]
-
-    def str(self, key: str, default: str | None = None) -> str:
-        if default is not None and key not in self.values:
-            return default
-        return self._require(key)
-
-    def float(self, key: str, default: float | None = None) -> float:
-        if default is not None and key not in self.values:
-            return default
-        raw = self._require(key)
-        try:
-            return float(raw)
-        except ValueError:
-            raise ValueError(f"{self.path}: key '{key}' is not a number: {raw!r}")
-
-    def int(self, key: str, default: int | None = None) -> int:
-        if default is not None and key not in self.values:
-            return default
-        raw = self._require(key)
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(f"{self.path}: key '{key}' is not an integer: {raw!r}")
-
-    def int_list(self, key: str, default: str | None = None) -> tuple[int, ...]:
-        raw = self.str(key, default)
-        try:
-            return tuple(int(v.strip()) for v in raw.split(",") if v.strip())
-        except ValueError:
-            raise ValueError(f"{self.path}: key '{key}' is not an integer list: {raw!r}")
-
-    def float_list(self, key: str, default: str | None = None) -> tuple[float, ...]:
-        raw = self.str(key, default)
-        try:
-            return tuple(float(v.strip()) for v in raw.split(",") if v.strip())
-        except ValueError:
-            raise ValueError(f"{self.path}: key '{key}' is not a number list: {raw!r}")
+        return _parse(kind, self.values[key], f"{self.path}: key '{key}'")
 
 
 def _build_signal(cfg: Config) -> Signal:
-    kind = cfg.str("signal")
+    kind = cfg.get("signal")
     if kind == "zero":
-        return zero_signal(cfg.int("signal_N"))
+        return zero_signal(cfg.get("signal_N", int))
     if kind == "power-law":
-        return power_law_signal(cfg.float("signal_s"), cfg.float("signal_c"), cfg.int("signal_N"))
+        return power_law_signal(
+            cfg.get("signal_s", float), cfg.get("signal_c", float), cfg.get("signal_N", int)
+        )
     if kind == "self-similar":
-        return self_similar_signal(_class_params(cfg), cfg.int("signal_N"))
+        return self_similar_signal(_class_params(cfg), cfg.get("signal_N", int))
     if kind in ("adversarial-short", "adversarial-long"):
         short, long = adversarial_pair(
-            cfg.float("tau"), cfg.float("eps"),
-            cfg.int("L1"), cfg.int("L2"), cfg.float("Delta"),
+            cfg.get("tau", float), cfg.get("eps", float),
+            cfg.get("L1", int), cfg.get("L2", int), cfg.get("Delta", float),
         )
         return short if kind == "adversarial-short" else long
     if kind == "file":
-        return load_signal(cfg.str("signal_path"))
+        return load_signal(cfg.get("signal_path"))
     raise ValueError(
         f"unknown signal kind {kind!r}: expected zero, power-law, self-similar, "
         "adversarial-short, adversarial-long or file"
@@ -137,35 +117,35 @@ def _build_signal(cfg: Config) -> Signal:
 
 def _class_params(cfg: Config) -> SmoothnessClassParams:
     return SmoothnessClassParams(
-        s=cfg.float("signal_s"),
-        Q=cfg.float("signal_Q"),
-        alpha=cfg.float("signal_alpha"),
-        rho0=cfg.float("signal_rho0"),
-        N0=cfg.int("signal_N0"),
+        s=cfg.get("signal_s", float),
+        Q=cfg.get("signal_Q", float),
+        alpha=cfg.get("signal_alpha", float),
+        rho0=cfg.get("signal_rho0", float),
+        N0=cfg.get("signal_N0", int),
     )
 
 
 def _prior(cfg: Config) -> PriorParams:
     return PriorParams(
-        kappa=cfg.float("kappa"),
-        varkappa=cfg.float("varkappa"),
-        epsilon=cfg.float("eps"),
+        kappa=cfg.get("kappa", float),
+        varkappa=cfg.get("varkappa", float),
+        epsilon=cfg.get("eps", float),
     )
 
 
 def _mc_config(cfg: Config, seed_override: int | None,
                replicates: int | None = None) -> MCConfig:
-    seed = seed_override if seed_override is not None else cfg.int("seed")
+    seed = seed_override if seed_override is not None else cfg.get("seed", int)
     return MCConfig(
-        replicates=replicates or cfg.int("R"),
-        n=cfg.int("n"),
+        replicates=replicates or cfg.get("R", int),
+        n=cfg.get("n", int),
         master_seed=seed,
-        offsets=cfg.int_list("offsets", default="1"),
+        offsets=cfg.get("offsets", _int_list, default=(1,)),
     )
 
 
-def _out_path(cfg: Config, out_override: str | None) -> str | None:
-    return out_override if out_override is not None else cfg.values.get("out")
+def _out_path(cfg: Config, out_override: str | None) -> str:
+    return out_override if out_override is not None else cfg.get("out", default="")
 
 
 def _write_output(cfg: Config, out_override: str | None, text: str) -> None:
@@ -177,8 +157,8 @@ def _write_output(cfg: Config, out_override: str | None, text: str) -> None:
 
 def cmd_oracle(cfg: Config, out: str | None, seed: int | None) -> int:
     theta = _build_signal(cfg)
-    eps = cfg.float("eps")
-    tau = cfg.float("tau")
+    eps = cfg.get("eps", float)
+    tau = cfg.get("tau", float)
     result = effective_dimension(theta, eps, tau)
     _write_output(cfg, out, risk_curve_csv(theta, eps, tau))
     print(f"d_tau={result.d_tau} r_tau={result.r_tau:.12g}")
@@ -187,10 +167,8 @@ def cmd_oracle(cfg: Config, out: str | None, seed: int | None) -> int:
 
 def cmd_posterior(cfg: Config, out: str | None, seed: int | None) -> int:
     prior = _prior(cfg)
-    if "data" in cfg:
-        x = np.array(cfg.float_list("data"), dtype=float)
-        if x.size < 1:
-            raise ValueError(f"{cfg.path}: 'data' must list at least one value")
+    if "data" in cfg.values:
+        x = np.array(cfg.get("data", _float_list), dtype=float)
     else:
         theta = _build_signal(cfg)
         # replicate 0 of the library's stream, which enforces the signal
@@ -204,13 +182,13 @@ def cmd_posterior(cfg: Config, out: str | None, seed: int | None) -> int:
 
 
 def cmd_verify(cfg: Config, out: str | None, seed: int | None) -> int:
-    theorem = cfg.str("theorem")
+    theorem = cfg.get("theorem")
     mc = _mc_config(cfg, seed)
     if theorem == "lower-bound":
         prior = _prior(cfg)
         report = lower_bound_experiment(
-            cfg.float("tau"), cfg.float("eps"),
-            cfg.int("L1"), cfg.int("L2"), cfg.float("Delta"),
+            cfg.get("tau", float), cfg.get("eps", float),
+            cfg.get("L1", int), cfg.get("L2", int), cfg.get("Delta", float),
             prior, mc,
         )
         ok = report.satisfied
@@ -221,8 +199,8 @@ def cmd_verify(cfg: Config, out: str | None, seed: int | None) -> int:
     else:
         theta = _build_signal(cfg)
         prior = _prior(cfg)
-        tau = cfg.float("tau")
-        label = cfg.str("signal")
+        tau = cfg.get("tau", float)
+        label = cfg.get("signal")
         if theorem == "overshoot":
             report = mc_overshoot(theta, prior, tau, mc, label=label)
         elif theorem == "undershoot":
@@ -230,12 +208,12 @@ def cmd_verify(cfg: Config, out: str | None, seed: int | None) -> int:
         elif theorem == "two-sided-i":
             report = mc_two_sided(
                 theta, prior, tau, mc,
-                t0=cfg.float("t0"), N0=cfg.int("N0"), label=label,
+                t0=cfg.get("t0", float), N0=cfg.get("N0", int), label=label,
             )
         elif theorem == "two-sided-ii":
             report = mc_two_sided(
                 theta, prior, tau, mc,
-                H0=cfg.float("H0"), n0=cfg.int("n0"), label=label,
+                H0=cfg.get("H0", float), n0=cfg.get("n0", int), label=label,
             )
         else:
             raise ValueError(
@@ -255,20 +233,18 @@ def cmd_verify(cfg: Config, out: str | None, seed: int | None) -> int:
 
 def cmd_smoothness(cfg: Config, out: str | None, seed: int | None) -> int:
     params = _class_params(cfg)
-    eps_grid = cfg.float_list("eps_grid")
-    if not eps_grid:
-        raise ValueError(f"{cfg.path}: 'eps_grid' must list at least one value")
+    eps_grid = cfg.get("eps_grid", _float_list)
     prior = PriorParams(
-        kappa=cfg.float("kappa"),
-        varkappa=cfg.float("varkappa"),
+        kappa=cfg.get("kappa", float),
+        varkappa=cfg.get("varkappa", float),
         epsilon=eps_grid[0],
     )
     mc = _mc_config(cfg, seed)
     report = smoothness_sweep(
-        params, prior, cfg.float("tau"), eps_grid, mc,
-        signal_N=cfg.int("signal_N"),
-        c_lo=cfg.float("c_lo", default=0.5),
-        c_hi=cfg.float("c_hi", default=2.0),
+        params, prior, cfg.get("tau", float), eps_grid, mc,
+        signal_N=cfg.get("signal_N", int),
+        c_lo=cfg.get("c_lo", float, default=0.5),
+        c_hi=cfg.get("c_hi", float, default=2.0),
     )
     for row in report.rows:
         print(
@@ -285,7 +261,7 @@ def cmd_make_signal(cfg: Config, out: str | None, seed: int | None) -> int:
     if not path:
         raise ValueError(f"{cfg.path}: missing output path (key 'out' or --out)")
     save_signal(theta, path)
-    print(f"wrote {path}: N={theta.n} tail_energy={theta.tail_energy:.17g}")
+    print(f"wrote {path}: N={theta.n} tail_energy={_fmt(theta.tail_energy)}")
     return 0
 
 

@@ -22,6 +22,9 @@ from .rates import f_sup, g_sup
 from .signals import (
     Signal,
     SmoothnessClassParams,
+    _csv,
+    _fmt,
+    _integer,
     adversarial_pair,
     self_similar_signal,
     simulate,
@@ -60,17 +63,12 @@ class MCConfig:
     offsets: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.replicates >= 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if not self.n >= 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        offs = tuple(int(m) for m in self.offsets)
-        if not offs or any(m < 1 for m in offs):
+        for name, least in (("replicates", 1), ("n", 1), ("master_seed", -math.inf)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, least))
+        offs = tuple(_integer(m, "offsets") for m in self.offsets)
+        if not offs:
             raise ValueError(f"offsets must be positive integers, got {self.offsets}")
         object.__setattr__(self, "offsets", offs)
-        object.__setattr__(self, "replicates", int(self.replicates))
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "master_seed", int(self.master_seed))
 
 
 @dataclass(frozen=True)
@@ -103,14 +101,6 @@ class ExperimentReport:
     def all_satisfied(self) -> bool:
         """True iff every non-vacuous row is satisfied."""
         return all(r.satisfied for r in self.rows if not r.vacuous)
-
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
 
 
 def _require_se_replicates(cfg: MCConfig) -> None:
@@ -158,6 +148,9 @@ def _envelope_report(kind: str, theta: Signal, prior: PriorParams, tau: float,
     three standard errors; envelopes >= 1 are vacuous.
     """
     _require_se_replicates(cfg)
+    if label is not None and (label.split() != [label] or "=" in label):
+        # the label is one value of the space-separated key=value header
+        raise ValueError(f"label must be nonempty, without whitespace or '=', got {label!r}")
     offsets, R = cfg.offsets, cfg.replicates
     masses = [[0.0] * R for _ in offsets]
     # replicates whose MAP lands in each region; the intervals are disjoint,
@@ -494,35 +487,32 @@ def smoothness_sweep(class_params: SmoothnessClassParams, prior_template: PriorP
     return SmoothnessReport(rows=tuple(rows), meta=meta)
 
 
-def _csv(meta: dict, columns: str, rows, footer: tuple = ()) -> str:
+def _report_text(meta: dict, columns: str, rows, footer: tuple = ()) -> str:
     """Header line carrying the config, column names, one line per row."""
     header = " ".join([REPORT_HEADER_PREFIX, *(f"{k}={_fmt(v)}" for k, v in meta.items())])
-    lines = [header, columns]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    lines.extend(footer)
-    return "\n".join(lines) + "\n"
+    return _csv([header, columns], rows, footer)
 
 
 def report_csv(report) -> str:
     """Deterministic CSV for any report type, config carried in the header.
 
-    Floats are written at 17 significant digits (exact round trip) and
-    booleans as 0/1.
+    Fields are written by signals._fmt: floats at 17 significant digits
+    (exact round trip) and booleans as 0/1.
     """
     if isinstance(report, ExperimentReport):
-        return _csv(
+        return _report_text(
             report.meta,
             "offset,posterior_mass,mass_se,dhat_freq,freq_se,theory_bound,vacuous,satisfied",
             map(astuple, report.rows),
         )
     if isinstance(report, LowerBoundReport):
-        return _csv(
+        return _report_text(
             report.meta,
             "p1,se1,p2,se2,sum,combined_se,delta_prime,satisfied",
             [astuple(report)[:-1]],  # every field but meta
         )
     if isinstance(report, SmoothnessReport):
-        return _csv(
+        return _report_text(
             report.meta,
             "eps,d_tau,dhat_median,shat_median,median_abs_err,n_undefined,"
             "outside_freq,ratio,bracket_lo,bracket_hi",

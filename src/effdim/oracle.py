@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import Signal, _block_energy, _suffix_energy
+from .signals import Signal, _block_energy, _csv, _suffix_energy
 
 __all__ = [
     "OracleResult",
@@ -47,18 +47,20 @@ def _check_eps_tau(eps: float, tau: float) -> None:
         raise ValueError(f"tau must be positive, got {tau}")
 
 
+def _risk_terms(theta: Signal, eps: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Approximation error and dimension cost for d = 1..N.  Their sum is the
+    curve effective_dimension minimizes and risk_curve_csv writes."""
+    d = np.arange(1, theta.n + 1, dtype=float)
+    return _suffix_energy(theta) + theta.tail_energy, tau * eps * eps * d
+
+
 def risk(d: int, theta: Signal, eps: float, tau: float) -> float:
     """tau-error of the d-dimensional quantizer: approximation + dimension cost."""
     _check_eps_tau(eps, tau)
     if not 1 <= d <= theta.n:
         raise IndexError(f"d must lie in [1, {theta.n}], got {d}")
-    approx = _suffix_energy(theta)[d - 1] + theta.tail_energy
-    return approx + tau * d * eps * eps
-
-
-def _risk_curve(theta: Signal, eps: float, tau: float) -> np.ndarray:
-    d = np.arange(1, theta.n + 1, dtype=float)
-    return (_suffix_energy(theta) + theta.tail_energy) + tau * eps * eps * d
+    approx, cost = _risk_terms(theta, eps, tau)
+    return float(approx[d - 1] + cost[d - 1])
 
 
 def effective_dimension(theta: Signal, eps: float, tau: float) -> OracleResult:
@@ -78,7 +80,8 @@ def effective_dimension(theta: Signal, eps: float, tau: float) -> OracleResult:
             "extend the signal horizon N until its stored tail energy "
             "drops below this threshold"
         )
-    curve = _risk_curve(theta, eps, tau)
+    approx, cost = _risk_terms(theta, eps, tau)
+    curve = approx + cost
     d_tau = int(np.argmin(curve)) + 1  # argmin takes the first, i.e. smallest, minimizer
     return OracleResult(d_tau=d_tau, r_tau=float(curve[d_tau - 1]), risk_curve=curve)
 
@@ -171,9 +174,6 @@ def head_condition(
 def risk_curve_csv(theta: Signal, eps: float, tau: float) -> str:
     """Risk curve as CSV with columns d, r_tau, approx_error, dim_cost."""
     _check_eps_tau(eps, tau)
-    approx = _suffix_energy(theta) + theta.tail_energy
-    lines = ["d,r_tau,approx_error,dim_cost"]
-    for d in range(1, theta.n + 1):
-        cost = tau * d * eps * eps
-        lines.append(f"{d},{approx[d - 1] + cost:.17g},{approx[d - 1]:.17g},{cost:.17g}")
-    return "\n".join(lines) + "\n"
+    approx, cost = _risk_terms(theta, eps, tau)
+    rows = zip(range(1, theta.n + 1), approx + cost, approx, cost)
+    return _csv(["d,r_tau,approx_error,dim_cost"], rows)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rates import penalty_constant
-from .signals import Observation
+from .signals import Observation, _csv
 
 __all__ = [
     "PriorParams",
@@ -41,7 +41,7 @@ class PriorParams:
     kappa scales the prior variance on the active coordinates, varkappa
     is the geometric decay of the dimension prior.  kappa <= e-1 is
     rejected outright: below that the posterior over the dimension does
-    not exist.  All three must be finite.
+    not exist.  All three and A*epsilon^2 must be finite, epsilon^2 > 0.
     """
 
     kappa: float
@@ -49,9 +49,13 @@ class PriorParams:
     epsilon: float
 
     def __post_init__(self):
-        penalty_constant(self.kappa, self.varkappa)  # validates both
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        A = penalty_constant(self.kappa, self.varkappa)  # validates both
+        eps2 = self.epsilon * self.epsilon  # the posterior scales by A*eps^2, divides by eps^2
+        if not (self.epsilon > 0 and eps2 > 0.0 and A * eps2 < math.inf):
+            raise ValueError(
+                "epsilon must be positive and finite, with epsilon^2 > 0 and "
+                f"A*epsilon^2 = {A * eps2:.6g} finite, got {self.epsilon}"
+            )
 
     @property
     def A(self) -> float:
@@ -175,11 +179,6 @@ def region_mass(post: PosteriorOverD, lo: int, hi) -> float:
 
 def pmf_csv(post: PosteriorOverD) -> str:
     """pmf as CSV with columns d, pmf, cumulative; final row is the tail lump."""
-    lines = ["d,pmf,cumulative"]
-    cum = 0.0
-    for d in range(1, post.n + 1):
-        cum += float(post.pmf[d - 1])
-        lines.append(f"{d},{post.pmf[d - 1]:.17g},{cum:.17g}")
-    cum += post.tail_mass
-    lines.append(f"tail,{post.tail_mass:.17g},{cum:.17g}")
-    return "\n".join(lines) + "\n"
+    masses = np.append(post.pmf, post.tail_mass)
+    rows = zip([*range(1, post.n + 1), "tail"], masses, np.cumsum(masses))
+    return _csv(["d,pmf,cumulative"], rows)

@@ -53,7 +53,7 @@ def penalty_constant(kappa: float, varkappa: float) -> float:
 
     kappa must exceed e - 1 (below that the posterior over the dimension
     is not well defined) and varkappa must be positive; together these
-    force A > 1.  Both must be finite.
+    force A > 1.  Both must be finite, and so must A.
     """
     if not E_MINUS_1 < kappa < math.inf:
         raise ValueError(
@@ -61,7 +61,10 @@ def penalty_constant(kappa: float, varkappa: float) -> float:
         )
     if not 0 < varkappa < math.inf:
         raise ValueError(f"varkappa must be positive and finite, got {varkappa}")
-    return math.log(kappa + 1.0) + 2.0 * varkappa
+    A = math.log(kappa + 1.0) + 2.0 * varkappa
+    if not A < math.inf:
+        raise ValueError(f"A = log(kappa+1) + 2*varkappa overflows at varkappa = {varkappa}")
+    return A
 
 
 def f(h: float, a: float, t: float) -> float:

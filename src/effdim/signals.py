@@ -124,11 +124,20 @@ class SmoothnessClassParams:
             raise ValueError(f"N0 must be a positive integer, got {self.N0}")
 
 
+def _integer(value, name: str, least: float = 1) -> int:
+    """value as an int if it is integral (20, 20.0, numpy integers) and >= least;
+    else a ValueError naming the field, never a silent truncation."""
+    try:
+        if int(value) == value >= least:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def zero_signal(n: int) -> Signal:
     """The zero signal on n stored coordinates."""
-    if not n >= 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return Signal(np.zeros(int(n)), 0.0)
+    return Signal(np.zeros(_integer(n, "n")), 0.0)
 
 
 def _philox_key(seed) -> np.ndarray:
@@ -153,9 +162,7 @@ def simulate(theta: Signal, eps: float, n: int, seed) -> Observation:
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if not n >= 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    n = int(n)
+    n = _integer(n, "n")
     key = _philox_key(seed)
     gen = np.random.Generator(np.random.Philox(key=key))
     xi = gen.standard_normal(n)
@@ -212,11 +219,10 @@ def power_law_signal(s: float, c: float, N: int) -> Signal:
         raise ValueError(f"s must be positive, got {s}")
     if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
-    if not N >= 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    i = np.arange(1, int(N) + 1, dtype=float)
+    N = _integer(N, "N")
+    i = np.arange(1, N + 1, dtype=float)
     coeffs = c * i ** -(s + 0.5)
-    _, tail_upper = _power_tail_bracket(2.0 * s + 1.0, int(N))
+    _, tail_upper = _power_tail_bracket(2.0 * s + 1.0, N)
     return Signal(coeffs, c * c * tail_upper)
 
 
@@ -237,9 +243,8 @@ def adversarial_pair(
         raise ValueError(f"tau must be positive, got {tau}")
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if not (L1 >= 1 and L2 >= 1):
-        raise ValueError(f"L1 and L2 must be >= 1, got {L1}, {L2}")
-    L = int(L1) + int(L2)
+    L1, L2 = _integer(L1, "L1"), _integer(L2, "L2")
+    L = L1 + L2
     gap = eps * math.sqrt(math.log(Delta)) / (2.0 * math.sqrt(L))
     low = eps * math.sqrt(tau) - gap
     if not low > 0:
@@ -370,9 +375,24 @@ def save_signal(theta: Signal, path) -> None:
     Header line `# effdim-signal v1 N=<N> tail_energy=<e>`, then one
     coefficient per line at 17 significant digits (exact round trip).
     """
-    lines = [f"{SIGNAL_HEADER_PREFIX} N={theta.n} tail_energy={theta.tail_energy:.17g}"]
-    lines.extend(f"{v:.17g}" for v in theta.coeffs)
-    _write_atomic(path, "\n".join(lines) + "\n")
+    header = f"{SIGNAL_HEADER_PREFIX} N={theta.n} tail_energy={_fmt(theta.tail_energy)}"
+    _write_atomic(path, _csv([header], zip(theta.coeffs)))
+
+
+def _fmt(v) -> str:
+    """One field of a CSV or signal file: a float at 17 significant digits
+    (exact round trip), a boolean as 0/1, anything else as str."""
+    if isinstance(v, bool):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return f"{v:.17g}"
+    return str(v)
+
+
+def _csv(head: list[str], rows, foot=()) -> str:
+    """The head lines, one comma-joined line of _fmt fields per row, then foot."""
+    lines = [*head, *(",".join(map(_fmt, row)) for row in rows), *foot]
+    return "\n".join(lines) + "\n"
 
 
 def _write_atomic(path, text: str) -> None:

@@ -2,6 +2,8 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 from effdim.cli import main
 from effdim.signals import Signal, load_signal, save_signal
 
@@ -106,6 +108,25 @@ class TestPosteriorCommand:
             assert main(["posterior", "--config", cfg]) == 2
             assert "finite, got inf" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("varkappa, eps, message", [
+        ("1e308", "1", "overflows"),  # A = log(kappa+1) + 2*varkappa
+        ("2", "1e-170", "epsilon^2 > 0"),  # eps^2 underflows to 0
+        ("2", "1e170", "A*epsilon^2 = inf"),  # eps^2 overflows
+    ])
+    def test_overflowing_prior_arithmetic_exits_two(self, tmp_path, capsys,
+                                                    varkappa, eps, message):
+        out = tmp_path / "pmf.csv"
+        cfg = write_config(tmp_path, "c.cfg", f"""
+            data = 1, 2, 0.5
+            kappa = 7
+            varkappa = {varkappa}
+            eps = {eps}
+            out = {out}
+        """)
+        assert main(["posterior", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_horizon_enforced_for_tail_signals(self, tmp_path, capsys):
         # a generated signal with positive tail energy cannot be padded
@@ -371,6 +392,24 @@ class TestConfigFormat:
         """)
         assert main(["oracle", "--config", cfg]) == 2
         assert "signal_N" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, bad, kind", [
+        ("oracle", "signal_N", "8.5", "int"),
+        ("oracle", "eps", "one", "float"),
+        ("verify", "offsets", "1,x,3", "list of integers"),
+        ("posterior", "data", "1, two", "list of numbers"),
+        ("posterior", "data", "1, 2,", "list of numbers"),
+    ])
+    def test_bad_value_names_path_key_and_text(self, tmp_path, capsys,
+                                               command, key, bad, kind):
+        values = dict(
+            theorem="overshoot", signal="zero", signal_N=8, eps=1, tau=1,
+            kappa=KAPPA_A6, varkappa=2, R=200, n=8, seed=3, offsets="1",
+        )
+        values[key] = bad
+        cfg = write_config(tmp_path, "c.cfg", "\n".join(f"{k} = {v}" for k, v in values.items()))
+        assert main([command, "--config", cfg]) == 2
+        assert f"{cfg}: key '{key}': cannot read {bad!r} as {kind}" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

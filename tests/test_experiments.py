@@ -34,6 +34,15 @@ class TestMCConfig:
         with pytest.raises(ValueError, match="offsets"):
             MCConfig(replicates=10, n=10, master_seed=1, offsets=(0,))
 
+    def test_non_integral_counts_rejected(self):
+        cfg = MCConfig(replicates=100.0, n=np.int64(20), master_seed=-3.0, offsets=(1.0, 2))
+        assert (cfg.replicates, cfg.n, cfg.master_seed, cfg.offsets) == (100, 20, -3, (1, 2))
+        good = dict(replicates=100, n=20, master_seed=1, offsets=(1,))
+        for field, bad in [("replicates", 100.9), ("n", 20.7), ("master_seed", 1.5),
+                           ("offsets", (1.5,))]:
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                MCConfig(**{**good, field: bad})
+
 
 class TestOvershoot:
     def test_requires_A_above_one_plus_tau(self):
@@ -299,6 +308,16 @@ class TestReportCsv:
         cfg2 = MCConfig(replicates=100, n=10, master_seed=14, offsets=(1, 2))
         c = report_csv(mc_overshoot(zero_signal(10), prior, 1.0, cfg2))
         assert c != a
+
+    def test_label_cannot_corrupt_the_header(self):
+        prior = prior_with_A(6.0, 2.0, 1.0)
+        cfg = MCConfig(replicates=100, n=10, master_seed=13, offsets=(1,))
+        for label in ("my signal", "", "a=b", "tab\there", "zero\n"):
+            with pytest.raises(ValueError, match="label must be nonempty"):
+                mc_overshoot(zero_signal(10), prior, 1.0, cfg, label=label)
+        header = report_csv(mc_overshoot(zero_signal(10), prior, 1.0, cfg, label="my-signal"))
+        fields = dict(item.split("=", 1) for item in header.splitlines()[0].split()[3:])
+        assert fields["theta"] == "my-signal"
 
     def test_experiment_csv_columns(self):
         prior = prior_with_A(6.0, 2.0, 1.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effdim.oracle import (
     effective_dimension,
@@ -11,7 +13,7 @@ from effdim.oracle import (
     tail_condition,
     tau_scaling_identity_check,
 )
-from effdim.signals import Signal, adversarial_pair, power_law_signal, zero_signal
+from effdim.signals import Signal, _suffix_energy, adversarial_pair, power_law_signal, zero_signal
 
 from helpers import cumsum_head_condition, cumsum_tail_condition, naive_effective_dimension
 
@@ -255,3 +257,33 @@ class TestRiskCurveCsv:
         for line in lines[1:]:
             _, r, a, c = line.split(",")
             assert float(r) == pytest.approx(float(a) + float(c), rel=1e-15)
+
+    def test_r_tau_column_is_the_minimised_curve(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            theta = random_signal(rng, max_n=60)
+            eps, tau = float(rng.uniform(0.05, 2.0)), float(rng.uniform(0.1, 10.0))
+            curve = effective_dimension(theta, eps, tau).risk_curve
+            rows = risk_curve_csv(theta, eps, tau).splitlines()[1:]
+            assert np.array_equal([float(row.split(",")[1]) for row in rows], curve)
+            for d in range(1, theta.n + 1):
+                assert risk(d, theta, eps, tau) == curve[d - 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        coeffs=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=60),
+        eps=st.floats(1e-3, 10.0),
+        tau=st.floats(0.01, 20.0),
+        tail_share=st.floats(0.0, 1.0),
+    )
+    def test_numbers_round_trip(self, coeffs, eps, tau, tail_share):
+        theta = Signal(coeffs, tail_share * (tau * eps * eps))
+        rows = np.array([
+            [float(v) for v in line.split(",")]
+            for line in risk_curve_csv(theta, eps, tau).splitlines()[1:]
+        ])
+        d, r, a, c = rows.T
+        assert np.array_equal(d, np.arange(1, theta.n + 1))
+        assert np.array_equal(r, effective_dimension(theta, eps, tau).risk_curve)
+        assert np.array_equal(a, _suffix_energy(theta) + theta.tail_energy)
+        assert np.array_equal(c, tau * eps * eps * d)

@@ -41,6 +41,15 @@ class TestPriorParams:
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             PriorParams(kappa=2.0, varkappa=1.0, epsilon=math.inf)
 
+    def test_rejects_overflowing_arithmetic(self):
+        # finite inputs whose A, eps^2 or A*eps^2 overflow or underflow
+        with pytest.raises(ValueError, match="overflows"):
+            PriorParams(kappa=7.0, varkappa=1e308, epsilon=1.0)
+        for eps in (1e-170, 1e170):
+            with pytest.raises(ValueError, match=r"epsilon\^2 > 0 and A\*epsilon\^2 = .* finite"):
+                PriorParams(kappa=7.0, varkappa=2.0, epsilon=eps)
+        PriorParams(kappa=7.0, varkappa=2.0, epsilon=1e-150)  # eps^2 = 1e-300 is fine
+
     def test_penalty_constant_property(self):
         p = PriorParams(kappa=math.e**2 - 1.0, varkappa=2.0, epsilon=1.0)
         assert p.A == pytest.approx(6.0, abs=1e-12)
@@ -321,3 +330,17 @@ class TestPmfCsv:
         assert len(lines) == 4
         assert lines[-1].startswith("tail,")
         assert float(lines[-1].split(",")[2]) == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=60),
+        varkappa=st.floats(0.01, 50.0),
+        eps=st.floats(0.05, 5.0),
+    )
+    def test_numbers_round_trip(self, x, varkappa, eps):
+        post = pmf(np.array(x), PriorParams(kappa=3.0, varkappa=varkappa, epsilon=eps))
+        rows = [line.split(",") for line in pmf_csv(post).splitlines()[1:]]
+        assert [r[0] for r in rows] == [*map(str, range(1, post.n + 1)), "tail"]
+        masses = np.append(post.pmf, post.tail_mass)
+        assert np.array_equal([float(r[1]) for r in rows], masses)
+        assert np.array_equal([float(r[2]) for r in rows], np.cumsum(masses))

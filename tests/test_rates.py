@@ -43,6 +43,10 @@ class TestPenaltyConstant:
         with pytest.raises(ValueError, match="varkappa must be positive and finite"):
             penalty_constant(2.0, math.inf)
 
+    def test_rejects_overflowing_A(self):
+        with pytest.raises(ValueError, match="overflows at varkappa = 1e"):
+            penalty_constant(7.0, 1e308)
+
     def test_always_above_one(self):
         rng = np.random.default_rng(0)
         for _ in range(200):

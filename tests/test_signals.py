@@ -42,6 +42,12 @@ class TestSignalType:
         with pytest.raises(ValueError, match="finite sum of squares"):
             Signal([1e-3, 1e-3, 1e200])  # its energy overflows
 
+    def test_zero_signal_length_must_be_integral(self):
+        assert zero_signal(3.0).n == 3 and zero_signal(np.int64(3)).n == 3
+        for n in (2.5, 0, "3", math.nan):
+            with pytest.raises(ValueError, match="n must be an integer >= 1"):
+                zero_signal(n)
+
     def test_coeffs_are_read_only(self):
         s = Signal([1.0, 2.0])
         with pytest.raises(ValueError):
@@ -97,11 +103,23 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(zero_signal(2), 1.0, 0, 0)
 
+    def test_non_integral_length_rejected(self):
+        theta = zero_signal(4)
+        assert simulate(theta, 1.0, 3.0, 7).n == 3
+        assert simulate(theta, 1.0, np.uint8(3), 7).n == 3
+        with pytest.raises(ValueError, match="n must be an integer >= 1, got 2.9"):
+            simulate(theta, 1.0, 2.9, 7)
+
 
 class TestPowerLaw:
     def test_coefficients(self):
         theta = power_law_signal(1.0, 1.0, 3)
         assert theta.coeffs == pytest.approx([1.0, 2.0**-1.5, 3.0**-1.5], abs=1e-15)
+
+    def test_non_integral_horizon_rejected(self):
+        assert power_law_signal(1.0, 1.0, 8.0).n == power_law_signal(1.0, 1.0, np.int32(8)).n == 8
+        with pytest.raises(ValueError, match="N must be an integer >= 1, got 8.5"):
+            power_law_signal(1.0, 1.0, 8.5)
 
     def test_tail_energy_against_zeta(self):
         # independent oracle: c^2 * sum_{i>N} i^-(2s+1) = c^2 * zeta(2s+1, N+1)
@@ -168,6 +186,11 @@ class TestAdversarialPair:
     def test_positivity_precondition_binds(self):
         with pytest.raises(ValueError, match="positivity precondition"):
             adversarial_pair(1.0, 1.0, 1, 1, math.exp(100.0))
+
+    def test_non_integral_lengths_rejected(self):
+        for L1, L2 in [(2.5, 3), (3, 1.5), (0, 3)]:
+            with pytest.raises(ValueError, match="L[12] must be an integer >= 1"):
+                adversarial_pair(1.0, 1.0, L1, L2, 1.1)
 
     def test_rejects_delta_at_most_one(self):
         with pytest.raises(ValueError, match="Delta"):
