@@ -24,7 +24,7 @@ from .experiments import (
     smoothness_sweep,
 )
 from .oracle import effective_dimension, risk_curve_csv
-from .posterior import PriorParams, map_dimension, pmf, pmf_csv
+from .posterior import PriorParams, pmf, pmf_csv
 from .signals import (
     Signal,
     SmoothnessClassParams,
@@ -125,47 +125,41 @@ def _class_params(cfg: Config) -> SmoothnessClassParams:
     )
 
 
-def _prior(cfg: Config) -> PriorParams:
+def _prior(cfg: Config, epsilon: float | None = None) -> PriorParams:
     return PriorParams(
         kappa=cfg.get("kappa", float),
         varkappa=cfg.get("varkappa", float),
-        epsilon=cfg.get("eps", float),
+        epsilon=cfg.get("eps", float) if epsilon is None else epsilon,
     )
 
 
-def _mc_config(cfg: Config, seed_override: int | None,
-               replicates: int | None = None) -> MCConfig:
-    seed = seed_override if seed_override is not None else cfg.get("seed", int)
+def _mc_config(cfg: Config, replicates: int | None = None) -> MCConfig:
     return MCConfig(
         replicates=replicates or cfg.get("R", int),
         n=cfg.get("n", int),
-        master_seed=seed,
+        master_seed=cfg.get("seed", int),
         offsets=cfg.get("offsets", _int_list, default=(1,)),
     )
 
 
-def _out_path(cfg: Config, out_override: str | None) -> str:
-    return out_override if out_override is not None else cfg.get("out", default="")
-
-
-def _write_output(cfg: Config, out_override: str | None, text: str) -> None:
+def _write_output(cfg: Config, text: str) -> None:
     """Write a command's CSV, atomically, if --out or the config names a path."""
-    path = _out_path(cfg, out_override)
+    path = cfg.get("out", default="")
     if path:
         _write_atomic(path, text)
 
 
-def cmd_oracle(cfg: Config, out: str | None, seed: int | None) -> int:
+def cmd_oracle(cfg: Config) -> int:
     theta = _build_signal(cfg)
     eps = cfg.get("eps", float)
     tau = cfg.get("tau", float)
     result = effective_dimension(theta, eps, tau)
-    _write_output(cfg, out, risk_curve_csv(theta, eps, tau))
+    _write_output(cfg, risk_curve_csv(theta, eps, tau))
     print(f"d_tau={result.d_tau} r_tau={result.r_tau:.12g}")
     return 0
 
 
-def cmd_posterior(cfg: Config, out: str | None, seed: int | None) -> int:
+def cmd_posterior(cfg: Config) -> int:
     prior = _prior(cfg)
     if "data" in cfg.values:
         x = np.array(cfg.get("data", _float_list), dtype=float)
@@ -173,17 +167,17 @@ def cmd_posterior(cfg: Config, out: str | None, seed: int | None) -> int:
         theta = _build_signal(cfg)
         # replicate 0 of the library's stream, which enforces the signal
         # horizon; its key (seed, 0) is also how an integer seed is keyed
-        mc = _mc_config(cfg, seed, replicates=1)
+        mc = _mc_config(cfg, replicates=1)
         x = next(_replicates(theta, prior.epsilon, mc)).x
-    d_hat = map_dimension(x, prior)
-    _write_output(cfg, out, pmf_csv(pmf(x, prior)))
-    print(f"d_hat={d_hat}")
+    post = pmf(x, prior)
+    _write_output(cfg, pmf_csv(post))
+    print(f"d_hat={post.d_hat}")
     return 0
 
 
-def cmd_verify(cfg: Config, out: str | None, seed: int | None) -> int:
+def cmd_verify(cfg: Config) -> int:
     theorem = cfg.get("theorem")
-    mc = _mc_config(cfg, seed)
+    mc = _mc_config(cfg)
     if theorem == "lower-bound":
         prior = _prior(cfg)
         report = lower_bound_experiment(
@@ -227,19 +221,15 @@ def cmd_verify(cfg: Config, out: str | None, seed: int | None) -> int:
                 f"freq={row.dhat_freq:.6g} bound={row.theory_bound:.6g} "
                 f"vacuous={int(row.vacuous)} satisfied={int(row.satisfied)}"
             )
-    _write_output(cfg, out, report_csv(report))
+    _write_output(cfg, report_csv(report))
     return 0 if ok else 1
 
 
-def cmd_smoothness(cfg: Config, out: str | None, seed: int | None) -> int:
+def cmd_smoothness(cfg: Config) -> int:
     params = _class_params(cfg)
     eps_grid = cfg.get("eps_grid", _float_list)
-    prior = PriorParams(
-        kappa=cfg.get("kappa", float),
-        varkappa=cfg.get("varkappa", float),
-        epsilon=eps_grid[0],
-    )
-    mc = _mc_config(cfg, seed)
+    prior = _prior(cfg, epsilon=eps_grid[0])
+    mc = _mc_config(cfg)
     report = smoothness_sweep(
         params, prior, cfg.get("tau", float), eps_grid, mc,
         signal_N=cfg.get("signal_N", int),
@@ -251,13 +241,13 @@ def cmd_smoothness(cfg: Config, out: str | None, seed: int | None) -> int:
             f"eps={row.eps:g} d_tau={row.d_tau} dhat_median={row.dhat_median:g} "
             f"shat_median={row.shat_median:.6g} ratio={row.ratio:.6g}"
         )
-    _write_output(cfg, out, report_csv(report))
+    _write_output(cfg, report_csv(report))
     return 0
 
 
-def cmd_make_signal(cfg: Config, out: str | None, seed: int | None) -> int:
+def cmd_make_signal(cfg: Config) -> int:
     theta = _build_signal(cfg)
-    path = _out_path(cfg, out)
+    path = cfg.get("out", default="")
     if not path:
         raise ValueError(f"{cfg.path}: missing output path (key 'out' or --out)")
     save_signal(theta, path)
@@ -289,7 +279,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = Config.load(args.config)
-        return _COMMANDS[args.command](cfg, args.out, args.seed)
+        for key in ("out", "seed"):  # the flags override the config's entries
+            if getattr(args, key) is not None:
+                cfg.values[key] = str(getattr(args, key))
+        return _COMMANDS[args.command](cfg)
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

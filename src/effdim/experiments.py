@@ -158,11 +158,10 @@ def _envelope_report(kind: str, theta: Signal, prior: PriorParams, tau: float,
     hits = [0] * len(offsets)
     for r, obs in enumerate(_replicates(theta, prior.epsilon, cfg)):
         post = pmf(obs, prior)
-        d_hat = map_dimension(obs, prior)
         for j, intervals in enumerate(regions):
             for lo, hi in intervals:
                 masses[j][r] += region_mass(post, lo, hi)
-                hits[j] += lo <= d_hat <= hi
+                hits[j] += lo <= post.d_hat <= hi
     rows = []
     for j, m in enumerate(offsets):
         mass = float(np.mean(masses[j]))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import Signal, _block_energy, _csv, _suffix_energy
+from .signals import Signal, _block_energy, _csv, _integer, _suffix_energy
 
 __all__ = [
     "OracleResult",
@@ -117,12 +117,11 @@ def tail_condition(
     """
     if not 0.0 < t0 < tau:
         raise ValueError(f"t0 must lie in (0, tau) = (0, {tau}), got {t0}")
-    if not N0 >= 1:
-        raise ValueError(f"N0 must be >= 1, got {N0}")
+    N0 = _integer(N0, "N0")
     d_tau = effective_dimension(theta, eps, tau).d_tau
     horizon = theta.n - d_tau
     # d = N0 .. horizon lie inside the stored range; the last d is past it
-    ds = np.arange(int(N0), max(horizon + 1, int(N0)) + 1)
+    ds = np.arange(N0, max(horizon + 1, N0) + 1)
     _, upper = _block_energy(theta, d_tau + 1, d_tau + ds)
     bad = np.nonzero(upper > t0 * eps * eps * ds)[0]
     first_violation = int(ds[bad[0]]) if bad.size else None
@@ -156,10 +155,9 @@ def head_condition(
     """
     if not H0 > tau:
         raise ValueError(f"H0 must exceed tau = {tau}, got {H0}")
-    if not n0 >= 1:
-        raise ValueError(f"n0 must be >= 1, got {n0}")
+    n0 = _integer(n0, "n0")
     d_tau = effective_dimension(theta, eps, tau).d_tau
-    ds = np.arange(int(n0), d_tau + 1)  # empty when d_tau < n0
+    ds = np.arange(n0, d_tau + 1)  # empty when d_tau < n0
     lower, _ = _block_energy(theta, d_tau - ds + 1, d_tau)
     bad = np.nonzero(lower < H0 * eps * eps * ds)[0]
     first_violation = int(ds[bad[0]]) if bad.size else None

@@ -9,12 +9,14 @@ which equals -crit(d) / (2 eps^2) for the penalized criterion
 crit(d) = -sum_{i<=d} X_i^2 + A eps^2 d with A = log(kappa+1) + 2 varkappa.
 Dimensions beyond the data length are information-free and carry a
 geometric weight continuation, aggregated analytically into one lump.
+`pmf` evaluates crit once and also returns the MAP dimension, post.d_hat;
+`map_dimension` is the MAP-only path that skips the pmf.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,14 +44,18 @@ class PriorParams:
     is the geometric decay of the dimension prior.  kappa <= e-1 is
     rejected outright: below that the posterior over the dimension does
     not exist.  All three and A*epsilon^2 must be finite, epsilon^2 > 0.
+    A is the penalty constant log(kappa+1) + 2*varkappa, always > 1; it is
+    computed once here and takes no part in comparison or repr.
     """
 
     kappa: float
     varkappa: float
     epsilon: float
+    A: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = penalty_constant(self.kappa, self.varkappa)  # validates both
+        object.__setattr__(self, "A", A)
         eps2 = self.epsilon * self.epsilon  # the posterior scales by A*eps^2, divides by eps^2
         if not (self.epsilon > 0 and eps2 > 0.0 and A * eps2 < math.inf):
             raise ValueError(
@@ -57,20 +63,18 @@ class PriorParams:
                 f"A*epsilon^2 = {A * eps2:.6g} finite, got {self.epsilon}"
             )
 
-    @property
-    def A(self) -> float:
-        """Penalty constant log(kappa+1) + 2*varkappa; always > 1."""
-        return penalty_constant(self.kappa, self.varkappa)
-
 
 @dataclass(frozen=True)
 class PosteriorOverD:
-    """Normalized pmf over d = 1..n plus the aggregated mass on {d > n}."""
+    """Normalized pmf over d = 1..n plus the aggregated mass on {d > n},
+    the lump's log ratio log_q = -varkappa and the MAP dimension d_hat."""
 
     log_weights: np.ndarray
     pmf: np.ndarray
     tail_mass: float
     n: int
+    log_q: float
+    d_hat: int
 
 
 def _data_vector(x, prior: PriorParams) -> np.ndarray:
@@ -89,7 +93,10 @@ def _data_vector(x, prior: PriorParams) -> np.ndarray:
 def _crit_values(x, prior: PriorParams) -> np.ndarray:
     xv = _data_vector(x, prior)
     d = np.arange(1, xv.size + 1, dtype=float)
-    return -np.cumsum(xv * xv) + prior.A * prior.epsilon**2 * d
+    values = -np.cumsum(xv * xv) + prior.A * prior.epsilon**2 * d
+    if not math.isfinite(values[-1]):  # cumsum carries any nan or inf to the end
+        raise ValueError(f"crit(n) = {values[-1]}: the data and their sums must be finite")
+    return values
 
 
 def log_weights(x, prior: PriorParams) -> np.ndarray:
@@ -107,20 +114,25 @@ def pmf(x, prior: PriorParams) -> PosteriorOverD:
     """Normalized posterior over {1..n} with the {d > n} lump.
 
     A single max-shift before exponentiation keeps the normalization safe
-    even when sum X_i^2 / eps^2 reaches thousands.
+    even when sum X_i^2 / eps^2 reaches thousands; crit(d) / eps^2 past
+    the double range leaves no finite shift and is a ValueError.
     """
-    lw = log_weights(x, prior)
+    values = _crit_values(x, prior)
+    lw = -values / (2.0 * prior.epsilon**2)
     # geometric continuation: sum_{k>=1} w(n) e^{-varkappa k} = w(n) / (e^varkappa - 1)
     try:
         log_tail = lw[-1] - math.log(math.expm1(prior.varkappa))
     except OverflowError:  # e^varkappa overflows, and then log(e^varkappa - 1) = varkappa
         log_tail = lw[-1] - prior.varkappa
     shift = max(float(np.max(lw)), log_tail)
+    if not math.isfinite(shift):
+        raise ValueError(f"log posterior weights overflow at eps = {prior.epsilon}")
     w = np.exp(lw - shift)
     tail_w = math.exp(log_tail - shift)
     z = float(np.sum(w)) + tail_w
     return PosteriorOverD(
-        log_weights=lw, pmf=w / z, tail_mass=tail_w / z, n=int(lw.size)
+        log_weights=lw, pmf=w / z, tail_mass=tail_w / z, n=int(lw.size),
+        log_q=-prior.varkappa, d_hat=int(np.argmin(values)) + 1,
     )
 
 
@@ -151,29 +163,22 @@ def posterior_mean_theta(x, prior: PriorParams) -> np.ndarray:
 
 
 def region_mass(post: PosteriorOverD, lo: int, hi) -> float:
-    """Posterior mass of {lo <= D <= hi}; hi may be math.inf.
+    """Posterior mass of {lo <= D <= hi} for integers lo, hi; hi may be math.inf.
 
-    The {d > n} lump is geometric, w(n + k) = w(n) q^k with q = e^-varkappa,
+    The {d > n} lump is geometric, w(n + k) = w(n) q^k with q = e^log_q,
     so its share of any interval is exact: dimensions n+a .. n+b carry
-    tail_mass * q^(a-1) * (1 - q^(b-a+1)).  Since tail_mass = pmf(n) q/(1-q),
-    q = tail_mass / (tail_mass + pmf(n)).  An empty region has mass 0.
+    tail_mass * q^(a-1) * (1 - q^(b-a+1)).  For b = inf the last factor is
+    exactly 1, and for a = 1 the first is, so the whole lump is tail_mass
+    itself.  An empty region has mass 0.
     """
-    if lo > hi:
+    if lo > hi or hi < 1:
         return 0.0
     lo_idx = max(int(lo), 1)
-    hi_idx = post.n if math.isinf(hi) else min(int(hi), post.n)
-    total = 0.0
-    if lo_idx <= hi_idx:
-        total += float(np.sum(post.pmf[lo_idx - 1 : hi_idx]))
-    if hi > post.n and post.tail_mass > 0.0:
-        lump = post.tail_mass
-        if lo_idx > post.n + 1 or not math.isinf(hi):  # only part of the lump
-            a = max(lo_idx - post.n, 1)  # the region starts at lump dimension n + a
-            q = post.tail_mass / (post.tail_mass + float(post.pmf[-1]))
-            lump *= q ** (a - 1)
-            if not math.isinf(hi):
-                lump *= -math.expm1((int(hi) - post.n - a + 1) * math.log(q))
-        total += lump
+    total = float(np.sum(post.pmf[lo_idx - 1 : int(min(hi, post.n))]))
+    if hi > post.n:
+        a = max(lo_idx - post.n, 1)  # the region starts at lump dimension n + a
+        total += (post.tail_mass * math.exp((a - 1) * post.log_q)
+                  * -math.expm1((hi - post.n - a + 1) * post.log_q))
     return total
 
 

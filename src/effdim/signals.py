@@ -120,8 +120,7 @@ class SmoothnessClassParams:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not self.rho0 > 1.0:
             raise ValueError(f"rho0 must exceed 1, got {self.rho0}")
-        if not (isinstance(self.N0, (int, np.integer)) and self.N0 >= 1):
-            raise ValueError(f"N0 must be a positive integer, got {self.N0}")
+        object.__setattr__(self, "N0", _integer(self.N0, "N0"))
 
 
 def _integer(value, name: str, least: float = 1) -> int:
@@ -132,7 +131,8 @@ def _integer(value, name: str, least: float = 1) -> int:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    bound = f" >= {least}" if least > -math.inf else ""
+    raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def zero_signal(n: int) -> Signal:
@@ -143,11 +143,11 @@ def zero_signal(n: int) -> Signal:
 def _philox_key(seed) -> np.ndarray:
     """Normalize a replicate identifier into a 128-bit Philox key."""
     if isinstance(seed, (tuple, list, np.ndarray)):
-        parts = [int(v) for v in seed]
+        parts = [_integer(v, "seed", -math.inf) for v in seed]
         if len(parts) != 2:
             raise ValueError("tuple seeds must have exactly two components")
     else:
-        parts = [int(seed), 0]
+        parts = [_integer(seed, "seed", -math.inf), 0]
     return np.array([p % 2**64 for p in parts], dtype=np.uint64)
 
 
@@ -316,7 +316,7 @@ def check_membership(theta: Signal, params: SmoothnessClassParams) -> Membership
     """
     bad = np.nonzero(_tail_class_lhs(theta, params.s) > params.Q)[0]
     # block ends grow with the start, so the blocks that fit form a prefix
-    starts = np.arange(int(params.N0), theta.n + 1)
+    starts = np.arange(params.N0, theta.n + 1)
     ends = np.ceil(params.rho0 * starts)
     starts, ends = starts[ends <= theta.n], ends[ends <= theta.n].astype(int)
     lower, _ = _block_energy(theta, starts, ends)

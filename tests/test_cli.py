@@ -1,6 +1,8 @@
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +128,25 @@ class TestPosteriorCommand:
         """)
         assert main(["posterior", "--config", cfg]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("data, eps, message", [
+        ("1, 2, 0.5", "1e-160", "log posterior weights overflow"),  # X^2 / eps^2 overflows
+        ("1, nan, 0.5", "1", "crit(n) = nan"),
+    ])
+    def test_non_finite_posterior_exits_two(self, tmp_path, capsys, data, eps, message):
+        out = tmp_path / "pmf.csv"
+        cfg = write_config(tmp_path, "c.cfg", f"""
+            data = {data}
+            kappa = 7
+            varkappa = 2
+            eps = {eps}
+            out = {out}
+        """)
+        assert main(["posterior", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "d_hat" not in captured.out
         assert not out.exists()
 
     def test_horizon_enforced_for_tail_signals(self, tmp_path, capsys):
@@ -415,9 +436,11 @@ class TestConfigFormat:
 def test_module_entry_point(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("signal = zero\nsignal_N = 4\neps = 1\ntau = 1\n")
+    # the child finds the package in src/ also when effdim is not installed
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "effdim", "oracle", "--config", str(cfg)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "d_tau=1" in proc.stdout

@@ -43,6 +43,11 @@ class TestMCConfig:
             with pytest.raises(ValueError, match=f"{field} must be an integer"):
                 MCConfig(**{**good, field: bad})
 
+    def test_seed_message_names_no_bound(self):
+        # the seed has no lower bound, so the message must not say ">= -inf"
+        with pytest.raises(ValueError, match="^master_seed must be an integer, got 1.5$"):
+            MCConfig(replicates=100, n=20, master_seed=1.5, offsets=(1,))
+
 
 class TestOvershoot:
     def test_requires_A_above_one_plus_tau(self):

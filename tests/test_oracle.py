@@ -197,6 +197,13 @@ class TestTailCondition:
         with pytest.raises(ValueError, match="N0"):
             tail_condition(zero_signal(5), 1.0, 1.0, 0.5, 0)
 
+    def test_non_integral_start_rejected(self):
+        # a non-integral start is an error, never truncated to a smaller start
+        theta = zero_signal(30)
+        assert tail_condition(theta, 1.0, 1.0, 0.5, 2.0) == tail_condition(theta, 1.0, 1.0, 0.5, 2)
+        with pytest.raises(ValueError, match="N0 must be an integer >= 1, got 1.7"):
+            tail_condition(theta, 1.0, 1.0, 0.5, 1.7)
+
 
 class TestHeadCondition:
     def test_adversarial_short_is_member(self):
@@ -239,6 +246,13 @@ class TestHeadCondition:
     def test_validation(self):
         with pytest.raises(ValueError, match="H0"):
             head_condition(zero_signal(5), 1.0, 1.0, 0.5, 1)
+
+    def test_non_integral_start_rejected(self):
+        # a non-integral start is an error, never truncated to a smaller start
+        short, _ = adversarial_pair(1.0, 1.0, 3, 3, 1.1)
+        assert head_condition(short, 1.0, 1.0, 1.5, 2.0) == head_condition(short, 1.0, 1.0, 1.5, 2)
+        with pytest.raises(ValueError, match="n0 must be an integer >= 1, got 2.9"):
+            head_condition(short, 1.0, 1.0, 1.5, 2.9)
 
 
 class TestRiskCurveCsv:

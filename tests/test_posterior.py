@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import effdim.posterior
 from effdim.posterior import (
     PriorParams,
     crit,
@@ -15,6 +17,7 @@ from effdim.posterior import (
     posterior_mean_theta,
     region_mass,
 )
+from effdim.rates import penalty_constant
 from effdim.signals import power_law_signal, simulate
 
 from helpers import posterior_oracle, prior_with_A
@@ -53,6 +56,22 @@ class TestPriorParams:
     def test_penalty_constant_property(self):
         p = PriorParams(kappa=math.e**2 - 1.0, varkappa=2.0, epsilon=1.0)
         assert p.A == pytest.approx(6.0, abs=1e-12)
+
+    def test_A_is_computed_once_and_not_compared(self, monkeypatch):
+        calls = []
+
+        def counting(kappa, varkappa):
+            calls.append((kappa, varkappa))
+            return penalty_constant(kappa, varkappa)
+
+        monkeypatch.setattr(effdim.posterior, "penalty_constant", counting)
+        p = PriorParams(kappa=3.0, varkappa=0.7, epsilon=0.5)
+        assert all(p.A == penalty_constant(3.0, 0.7) for _ in range(100))
+        assert calls == [(3.0, 0.7)]
+        assert "A=" not in repr(p)
+        assert "A" not in [f.name for f in dataclasses.fields(p) if f.compare]
+        assert p == PriorParams(kappa=3.0, varkappa=0.7, epsilon=0.5)
+        assert dataclasses.replace(p, varkappa=1.2).A == penalty_constant(3.0, 1.2)
 
 
 class TestLogWeights:
@@ -144,6 +163,17 @@ class TestPmf:
             assert np.isfinite(post.pmf).all() and math.isfinite(post.tail_mass)
             assert np.sum(post.pmf) + post.tail_mass == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_posterior_is_rejected(self):
+        # X^2 / (2 eps^2) overflows: every log-weight is inf and the max-shift too
+        with pytest.raises(ValueError, match="log posterior weights overflow at eps = 1e-160"):
+            pmf([1.0, 2.0, 0.5], PriorParams(kappa=7.0, varkappa=2.0, epsilon=1e-160))
+        p = PriorParams(kappa=7.0, varkappa=2.0, epsilon=1.0)
+        for x in ([1.0, math.nan, 0.5], [math.inf, 1.0], [1e200, 1e200]):
+            for fn in (pmf, map_dimension):
+                with pytest.raises(ValueError, match="crit.n. = .*must be finite"):
+                    fn(x, p)
+
     def test_overflow_safe_at_small_eps(self):
         x = np.full(30, 5.0)
         post = pmf(x, PriorParams(kappa=3.0, varkappa=1.0, epsilon=0.01))
@@ -211,6 +241,27 @@ class TestMapAndCrit:
             p = PriorParams(kappa=4.0, varkappa=0.5, epsilon=1.0)
             post = pmf(x, p)
             assert map_dimension(x, p) == int(np.argmax(post.pmf)) + 1
+
+    def test_posterior_map_is_map_dimension(self):
+        # data in {0, +-1, +-2} with A*eps^2 = 2 make crit take integer
+        # values, so ties between minimizers are common; both paths must
+        # take the smallest minimizer of the same criterion array
+        p = prior_with_A(2.0, 0.4, 1.0)
+        assert p.A == 2.0
+        rng = np.random.default_rng(32)
+        ties = 0
+        for k in range(600):
+            n = int(rng.integers(1, 40))
+            if k % 2:
+                x = rng.choice([0.0, 1.0, -1.0, 2.0, -2.0], size=n)
+            else:
+                x = rng.normal(scale=1.5, size=n)
+            values = np.array([crit(d, x, p) for d in range(1, n + 1)])
+            post = pmf(x, p)
+            assert post.d_hat == map_dimension(x, p) == int(np.argmin(values)) + 1
+            assert post.log_q == -p.varkappa
+            ties += int(np.count_nonzero(values == values.min()) > 1)
+        assert ties > 50
 
     def test_unbiased_risk_estimation_at_A_two(self):
         # with A = 2, E[crit(d)] + total energy = r(d, theta, eps)
@@ -305,6 +356,34 @@ class TestRegionMass:
         assert region_mass(post, 2, 10) == pytest.approx(
             float(np.sum(oracle_pmf[1:])) + oracle_tail * (1.0 - q**7), rel=1e-9
         )
+
+    def test_cut_lump_is_the_sum_of_its_terms(self):
+        # dimension n + k carries pmf(n) e^(-varkappa k); at small varkappa the
+        # ratio must come from varkappa itself, since q recovered from the rounded
+        # masses is off by an ulp and log(q) ~ -varkappa then loses most digits
+        rng = np.random.default_rng(33)
+        for varkappa in (1e-9, 1e-6, 1e-3, 0.05, 0.5, 3.0):
+            p = PriorParams(kappa=3.0, varkappa=varkappa, epsilon=1.0)
+            for _ in range(20):
+                post = pmf(rng.normal(size=int(rng.integers(1, 20))), p)
+                n, last = post.n, float(post.pmf[-1])
+                a = int(rng.integers(1, 30))
+                b = a + int(rng.integers(0 if a > 1 else 1, 20))
+                terms = math.fsum(last * math.exp(-varkappa * k) for k in range(a, b + 1))
+                rest = last * math.exp(-varkappa * a) / -math.expm1(-varkappa)
+                # abs=0: the masses can be far below pytest's default 1e-12
+                assert region_mass(post, n + a, n + b) == pytest.approx(terms, rel=1e-11, abs=0)
+                assert region_mass(post, n + a, math.inf) == pytest.approx(rest, rel=1e-11, abs=0)
+
+    def test_underflowed_lump_has_zero_mass(self):
+        # the posterior sits at d = 1; pmf(n) and the lump both underflow to 0
+        p = PriorParams(kappa=math.e**2 - 1.0, varkappa=2.0, epsilon=1.0)
+        post = pmf(np.r_[30.0, np.zeros(299)], p)
+        assert post.tail_mass == 0.0 and post.pmf[-1] == 0.0
+        n = post.n
+        for lo, hi in [(n + 1, math.inf), (n + 2, math.inf), (n + 3, n + 9), (n, n + 1)]:
+            assert region_mass(post, lo, hi) == 0.0
+        assert region_mass(post, 1, math.inf) == pytest.approx(1.0, abs=1e-15)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -110,6 +110,17 @@ class TestSimulate:
         with pytest.raises(ValueError, match="n must be an integer >= 1, got 2.9"):
             simulate(theta, 1.0, 2.9, 7)
 
+    def test_non_integral_seed_rejected(self):
+        # a non-integral seed must not alias an integer seed's stream; seeds have no
+        # lower bound, so the message names none
+        theta = zero_signal(3)
+        one = simulate(theta, 1.0, 3, 1).x
+        assert np.array_equal(simulate(theta, 1.0, 3, 1.0).x, one)
+        assert np.array_equal(simulate(theta, 1.0, 3, (np.int64(1), 0.0)).x, one)
+        for seed, bad in [(1.5, "1.5"), ((1, 2.5), "2.5"), ((-0.5, 0), "-0.5")]:
+            with pytest.raises(ValueError, match=f"^seed must be an integer, got {bad}$"):
+                simulate(theta, 1.0, 3, seed)
+
 
 class TestPowerLaw:
     def test_coefficients(self):
@@ -195,6 +206,15 @@ class TestAdversarialPair:
     def test_rejects_delta_at_most_one(self):
         with pytest.raises(ValueError, match="Delta"):
             adversarial_pair(1.0, 1.0, 2, 2, 1.0)
+
+
+class TestSmoothnessClassParams:
+    def test_block_start_follows_the_integer_rule(self):
+        params = SmoothnessClassParams(s=1.0, Q=1.0, alpha=0.1, rho0=2.0, N0=2.0)
+        assert params.N0 == 2 and type(params.N0) is int
+        for bad in (2.5, 0, "2"):
+            with pytest.raises(ValueError, match="N0 must be an integer >= 1"):
+                SmoothnessClassParams(s=1.0, Q=1.0, alpha=0.1, rho0=2.0, N0=bad)
 
 
 class TestSelfSimilar:
