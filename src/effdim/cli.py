@@ -15,7 +15,6 @@ import sys
 
 from .experiments import (
     MCConfig,
-    _replicates,
     lower_bound_experiment,
     mc_overshoot,
     mc_two_sided,
@@ -36,6 +35,7 @@ from .signals import (
     zero_signal,
     _fmt,
     _parse,
+    _replicate_blocks,
     _write_atomic,
 )
 
@@ -168,7 +168,7 @@ def cmd_posterior(cfg: Config) -> int:
         # replicate 0 of the library's stream, which enforces the signal
         # horizon; its key (seed, 0) is also how an integer seed is keyed
         mc = _mc_config(cfg, replicates=1)
-        x = next(_replicates(theta, prior.epsilon, mc)).x
+        x = next(_replicate_blocks(theta, prior.epsilon, mc.n, mc.master_seed, 0, 1))[0]
     post = pmf(x, prior)
     _write_output(cfg, pmf_csv(post))
     print(f"d_hat={post.d_hat}")

@@ -2,8 +2,10 @@
 concentration results, plus smoothness estimation on self-similar signals.
 
 Every experiment is a deterministic function of its configuration and the
-master seed: replicate r uses the noise stream keyed by (master_seed, r),
-so results are independent of execution order and reproduce bit for bit.
+master seed: replicate r uses the noise stream keyed by (master_seed, r).
+Replicates are processed in row blocks; every per-replicate result lands in
+an array over all R before any mean or standard error is taken, so results
+are identical for any block size and reproduce bit for bit.
 Empirical frequencies and posterior masses are compared against the
 theoretical envelopes at a 3-sigma tolerance; envelopes that exceed 1 are
 reported but flagged vacuous and never counted as evidence.
@@ -17,7 +19,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .oracle import effective_dimension, head_condition, tail_condition
-from .posterior import PriorParams, map_dimension, pmf, region_mass
+from .posterior import PriorParams, _crit_rows, _posterior_rows, _region_rows
 from .rates import f_sup, g_sup
 from .signals import (
     Signal,
@@ -25,9 +27,9 @@ from .signals import (
     _csv,
     _fmt,
     _integer,
+    _replicate_blocks,
     adversarial_pair,
     self_similar_signal,
-    simulate,
 )
 
 __all__ = [
@@ -119,21 +121,12 @@ def _require_A(what: str, A: float, op: str, name: str, t: float) -> None:
         )
 
 
-def _replicates(theta: Signal, eps: float, cfg: MCConfig, first: int = 0):
-    """Yield the observations of replicates first .. first + R - 1 in order.
-
-    Replicate r is simulated from the noise stream keyed
-    (master_seed, r).  A signal that carries tail energy is only observed
-    up to its stored horizon: past it `simulate` would zero-pad and so
-    silently drop the certified tail energy.
-    """
-    if theta.tail_energy > 0.0 and cfg.n > theta.n:
-        raise ValueError(
-            f"data length n = {cfg.n} exceeds the signal horizon N = {theta.n} "
-            "and the signal carries tail energy; increase signal_N or lower n"
-        )
-    for r in range(first, first + cfg.replicates):
-        yield simulate(theta, eps, cfg.n, (cfg.master_seed, r))
+def _map_dimensions(theta: Signal, prior: PriorParams, cfg: MCConfig,
+                    first: int = 0) -> np.ndarray:
+    """MAP dimensions of replicates first .. first + R - 1, by the MAP-only path."""
+    blocks = _replicate_blocks(theta, prior.epsilon, cfg.n, cfg.master_seed,
+                               first, cfg.replicates)
+    return np.concatenate([_crit_rows(X, prior)[1] for X in blocks])
 
 
 def _envelope_report(kind: str, theta: Signal, prior: PriorParams, tau: float,
@@ -152,16 +145,19 @@ def _envelope_report(kind: str, theta: Signal, prior: PriorParams, tau: float,
         # the label is one value of the space-separated key=value header
         raise ValueError(f"label must be nonempty, without whitespace or '=', got {label!r}")
     offsets, R = cfg.offsets, cfg.replicates
-    masses = [[0.0] * R for _ in offsets]
+    masses = np.zeros((len(offsets), R))
     # replicates whose MAP lands in each region; the intervals are disjoint,
     # so a replicate counts at most once
     hits = [0] * len(offsets)
-    for r, obs in enumerate(_replicates(theta, prior.epsilon, cfg)):
-        post = pmf(obs, prior)
+    start = 0
+    for X in _replicate_blocks(theta, prior.epsilon, cfg.n, cfg.master_seed, 0, R):
+        d_hat, _, w, tail = _posterior_rows(X, prior)
+        block = slice(start, start + len(X))
+        start += len(X)
         for j, intervals in enumerate(regions):
             for lo, hi in intervals:
-                masses[j][r] += region_mass(post, lo, hi)
-                hits[j] += lo <= post.d_hat <= hi
+                masses[j, block] += _region_rows(w, tail, -prior.varkappa, lo, hi)
+                hits[j] += int(np.count_nonzero((lo <= d_hat) & (d_hat <= hi)))
     rows = []
     for j, m in enumerate(offsets):
         mass = float(np.mean(masses[j]))
@@ -326,10 +322,8 @@ def lower_bound_experiment(tau: float, eps: float, L1: int, L2: int, Delta: floa
     d_long = effective_dimension(long, eps, tau).d_tau
     R = cfg.replicates
     # the short signal uses replicates 0 .. R-1, the long one R .. 2R-1
-    p1 = float(np.mean([map_dimension(obs, prior) >= d_short + L1
-                        for obs in _replicates(short, eps, cfg)]))
-    p2 = float(np.mean([map_dimension(obs, prior) <= d_long - L2
-                        for obs in _replicates(long, eps, cfg, first=R)]))
+    p1 = float(np.mean(_map_dimensions(short, prior, cfg) >= d_short + L1))
+    p2 = float(np.mean(_map_dimensions(long, prior, cfg, first=R) <= d_long - L2))
     se1 = math.sqrt(p1 * (1.0 - p1) / R)
     se2 = math.sqrt(p2 * (1.0 - p2) / R)
     combined = math.hypot(se1, se2)
@@ -443,21 +437,22 @@ def smoothness_sweep(class_params: SmoothnessClassParams, prior_template: PriorP
     for e_idx, eps in enumerate(eps_grid):
         d_tau = effective_dimension(theta, eps, tau).d_tau
         prior = PriorParams(prior_template.kappa, prior_template.varkappa, eps)
-        dhats = [map_dimension(obs, prior)
-                 for obs in _replicates(theta, eps, cfg, first=e_idx * R)]
-        shats = [smoothness_estimate(d_hat, eps) for d_hat in dhats if d_hat >= 2]
-        outside = sum(d_hat < c_lo * d_tau or d_hat > c_hi * d_tau for d_hat in dhats)
+        dhats = _map_dimensions(theta, prior, cfg, first=e_idx * R)
+        # one estimate per distinct MAP dimension, spread back over the replicates
+        defined, where = np.unique(dhats[dhats >= 2], return_inverse=True)
+        shats = np.array([smoothness_estimate(int(d), eps) for d in defined])[where]
+        outside = int(np.count_nonzero((dhats < c_lo * d_tau) | (dhats > c_hi * d_tau)))
         L = math.log(eps**-2)
         rows.append(
             SmoothnessRow(
                 eps=eps,
                 d_tau=d_tau,
                 dhat_median=float(np.median(dhats)),
-                shat_median=float(np.median(shats)) if shats else math.nan,
+                shat_median=float(np.median(shats)) if shats.size else math.nan,
                 median_abs_err=(
-                    float(np.median([abs(v - s) for v in shats])) if shats else math.nan
+                    float(np.median(np.abs(shats - s))) if shats.size else math.nan
                 ),
-                n_undefined=R - len(shats),
+                n_undefined=R - shats.size,
                 outside_freq=outside / R,
                 ratio=d_tau * (tau * eps**-2) ** (-1.0 / (2.0 * s + 1.0)),
                 bracket_lo=s - math.log(class_params.Q) / L,

@@ -9,8 +9,10 @@ which equals -crit(d) / (2 eps^2) for the penalized criterion
 crit(d) = -sum_{i<=d} X_i^2 + A eps^2 d with A = log(kappa+1) + 2 varkappa.
 Dimensions beyond the data length are information-free and carry a
 geometric weight continuation, aggregated analytically into one lump.
-`pmf` evaluates crit once and also returns the MAP dimension, post.d_hat;
-`map_dimension` is the MAP-only path that skips the pmf.
+One kernel does the arithmetic over a block of data rows (`_posterior_rows`;
+`_crit_rows` alone is the MAP-only path).  `pmf`, which also returns the MAP
+dimension post.d_hat, `log_weights`, `map_dimension`, `crit` and
+`region_mass` are its one-row case, so they agree bit for bit with a run.
 """
 
 from __future__ import annotations
@@ -90,13 +92,43 @@ def _data_vector(x, prior: PriorParams) -> np.ndarray:
     return arr
 
 
-def _crit_values(x, prior: PriorParams) -> np.ndarray:
-    xv = _data_vector(x, prior)
-    d = np.arange(1, xv.size + 1, dtype=float)
-    values = -np.cumsum(xv * xv) + prior.A * prior.epsilon**2 * d
-    if not math.isfinite(values[-1]):  # cumsum carries any nan or inf to the end
-        raise ValueError(f"crit(n) = {values[-1]}: the data and their sums must be finite")
-    return values
+def _crit_rows(X: np.ndarray, prior: PriorParams) -> tuple[np.ndarray, np.ndarray]:
+    """crit(d), d = 1..n, of every row of the block X, computed in place,
+    and each row's MAP dimension, the smallest minimizer of crit."""
+    d = np.arange(1, X.shape[1] + 1, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below instead
+        np.cumsum(np.square(X, out=X), axis=1, out=X)
+        np.subtract(prior.A * prior.epsilon**2 * d, X, out=X)
+    bad = X[~np.isfinite(X[:, -1]), -1]  # cumsum carries any nan or inf to the end
+    if bad.size:
+        raise ValueError(f"crit(n) = {bad[0]}: the data and their sums must be finite")
+    return X, np.argmin(X, axis=1) + 1
+
+
+def _posterior_rows(X: np.ndarray, prior: PriorParams) -> tuple[np.ndarray, ...]:
+    """(MAP dimension, log weights, pmf, {d > n} lump) of every row of X,
+    the log weights in place.  One max-shift per row keeps the normalization
+    safe even when sum X_i^2 / eps^2 reaches thousands; crit(d) / eps^2 past
+    the double range leaves no finite shift and is a ValueError.  The lump
+    takes math.exp row by row: np.exp may differ from it in the last bit."""
+    values, d_hat = _crit_rows(X, prior)
+    # geometric continuation: sum_{k>=1} w(n) e^{-varkappa k} = w(n) / (e^varkappa - 1)
+    try:
+        log_ratio = math.log(math.expm1(prior.varkappa))
+    except OverflowError:  # e^varkappa overflows, and then log(e^varkappa - 1) = varkappa
+        log_ratio = prior.varkappa
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below instead
+        lw = np.divide(values, -2.0 * prior.epsilon**2, out=values)
+    log_tail = lw[:, -1] - log_ratio
+    shift = np.maximum(np.max(lw, axis=1), log_tail)
+    if not np.isfinite(shift).all():
+        raise ValueError(f"log posterior weights overflow at eps = {prior.epsilon}")
+    w = lw - shift[:, None]
+    np.exp(w, out=w)
+    tail_w = np.array([math.exp(v) for v in (log_tail - shift).tolist()])
+    z = np.sum(w, axis=1) + tail_w
+    w /= z[:, None]
+    return d_hat, lw, w, tail_w / z
 
 
 def log_weights(x, prior: PriorParams) -> np.ndarray:
@@ -105,34 +137,22 @@ def log_weights(x, prior: PriorParams) -> np.ndarray:
     Equal to the log numerator of the dimension posterior up to an
     additive constant that does not depend on d.  For d > n the weights
     continue geometrically, log w(n+k) = log w(n) - varkappa*k; that part
-    is handled analytically by `pmf` and never materialized.
+    is handled analytically by `pmf` and never materialized.  Weights
+    that leave the double range are a ValueError, as in `pmf`.
     """
-    return -_crit_values(x, prior) / (2.0 * prior.epsilon**2)
+    return pmf(x, prior).log_weights
 
 
 def pmf(x, prior: PriorParams) -> PosteriorOverD:
     """Normalized posterior over {1..n} with the {d > n} lump.
 
-    A single max-shift before exponentiation keeps the normalization safe
-    even when sum X_i^2 / eps^2 reaches thousands; crit(d) / eps^2 past
-    the double range leaves no finite shift and is a ValueError.
+    Non-finite data, or crit(d) / eps^2 past the double range, is a
+    ValueError.
     """
-    values = _crit_values(x, prior)
-    lw = -values / (2.0 * prior.epsilon**2)
-    # geometric continuation: sum_{k>=1} w(n) e^{-varkappa k} = w(n) / (e^varkappa - 1)
-    try:
-        log_tail = lw[-1] - math.log(math.expm1(prior.varkappa))
-    except OverflowError:  # e^varkappa overflows, and then log(e^varkappa - 1) = varkappa
-        log_tail = lw[-1] - prior.varkappa
-    shift = max(float(np.max(lw)), log_tail)
-    if not math.isfinite(shift):
-        raise ValueError(f"log posterior weights overflow at eps = {prior.epsilon}")
-    w = np.exp(lw - shift)
-    tail_w = math.exp(log_tail - shift)
-    z = float(np.sum(w)) + tail_w
+    d_hat, lw, w, tail = _posterior_rows(np.array(_data_vector(x, prior), ndmin=2), prior)
     return PosteriorOverD(
-        log_weights=lw, pmf=w / z, tail_mass=tail_w / z, n=int(lw.size),
-        log_q=-prior.varkappa, d_hat=int(np.argmin(values)) + 1,
+        log_weights=lw[0], pmf=w[0], tail_mass=float(tail[0]), n=int(lw.shape[1]),
+        log_q=-prior.varkappa, d_hat=int(d_hat[0]),
     )
 
 
@@ -142,12 +162,12 @@ def map_dimension(x, prior: PriorParams) -> int:
     Identical to the smallest minimizer of crit; the {d > n} continuation
     is strictly decreasing, so it never wins.
     """
-    return int(np.argmin(_crit_values(x, prior))) + 1
+    return int(_crit_rows(np.array(_data_vector(x, prior), ndmin=2), prior)[1][0])
 
 
 def crit(d: int, x, prior: PriorParams) -> float:
     """Penalized criterion -sum_{i<=d} X_i^2 + A * eps^2 * d."""
-    values = _crit_values(x, prior)
+    values = _crit_rows(np.array(_data_vector(x, prior), ndmin=2), prior)[0][0]
     if not 1 <= d <= values.size:
         raise IndexError(f"d must lie in [1, {values.size}], got {d}")
     return float(values[d - 1])
@@ -171,14 +191,22 @@ def region_mass(post: PosteriorOverD, lo: int, hi) -> float:
     exactly 1, and for a = 1 the first is, so the whole lump is tail_mass
     itself.  An empty region has mass 0.
     """
+    return float(_region_rows(post.pmf[None], np.array([post.tail_mass]),
+                              post.log_q, lo, hi)[0])
+
+
+def _region_rows(pmf: np.ndarray, tail_mass: np.ndarray, log_q: float, lo: int, hi):
+    """region_mass(post, lo, hi) of every row of a block: pmf is rows x n,
+    tail_mass holds each row's lump."""
+    n = pmf.shape[1]
     if lo > hi or hi < 1:
-        return 0.0
+        return np.zeros(pmf.shape[0])
     lo_idx = max(int(lo), 1)
-    total = float(np.sum(post.pmf[lo_idx - 1 : int(min(hi, post.n))]))
-    if hi > post.n:
-        a = max(lo_idx - post.n, 1)  # the region starts at lump dimension n + a
-        total += (post.tail_mass * math.exp((a - 1) * post.log_q)
-                  * -math.expm1((hi - post.n - a + 1) * post.log_q))
+    total = np.sum(pmf[:, lo_idx - 1 : int(min(hi, n))], axis=1)
+    if hi > n:
+        a = max(lo_idx - n, 1)  # the region starts at lump dimension n + a
+        total += (tail_mass * math.exp((a - 1) * log_q)
+                  * -math.expm1((hi - n - a + 1) * log_q))
     return total
 
 

@@ -7,7 +7,8 @@ finite and checkable with certified rounding margins.
 
 Noise is generated by a counter-based keyed stream (Philox), so draw i
 of replicate r is a pure function of (master seed, r, i); replicates can
-be simulated in any order, or concurrently, with identical results.
+be simulated in any order, in blocks of any size, or concurrently, with
+identical results.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ import numpy as np
 # double-precision roundoff), which covers the few roundings in each term.
 TAIL_DIRECT_TERMS = 16
 TAIL_ROUNDING_MARGIN = 16 * 2.0**-53
+
+# Replicates are simulated, and reduced downstream, in row blocks of at most
+# this many elements (rows = max(1, BLOCK_ELEMENTS // n)): memory stays
+# bounded whatever the replicate count, and numpy's per-call cost is shared.
+BLOCK_ELEMENTS = 2**15
 
 __all__ = [
     "Signal",
@@ -140,17 +146,6 @@ def zero_signal(n: int) -> Signal:
     return Signal(np.zeros(_integer(n, "n")), 0.0)
 
 
-def _philox_key(seed) -> np.ndarray:
-    """Normalize a replicate identifier into a 128-bit Philox key."""
-    if isinstance(seed, (tuple, list, np.ndarray)):
-        parts = [_integer(v, "seed", -math.inf) for v in seed]
-        if len(parts) != 2:
-            raise ValueError("tuple seeds must have exactly two components")
-    else:
-        parts = [_integer(seed, "seed", -math.inf), 0]
-    return np.array([p % 2**64 for p in parts], dtype=np.uint64)
-
-
 def simulate(theta: Signal, eps: float, n: int, seed) -> Observation:
     """Observe X_i = theta_i + eps * xi_i for i = 1..n.
 
@@ -162,14 +157,44 @@ def simulate(theta: Signal, eps: float, n: int, seed) -> Observation:
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    n = _integer(n, "n")
-    key = _philox_key(seed)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    xi = gen.standard_normal(n)
+    parts = seed if isinstance(seed, (tuple, list, np.ndarray)) else (seed, 0)
+    key = tuple(_integer(v, "seed", -math.inf) % 2**64 for v in parts)
+    if len(key) != 2:
+        raise ValueError("tuple seeds must have exactly two components")
+    # the stored coefficients as a signal without tail energy: the horizon
+    # check of the Monte Carlo runs then allows the zero padding documented here
+    blocks = _replicate_blocks(Signal(theta.coeffs), eps, _integer(n, "n"), *key, 1)
+    return Observation(x=next(blocks)[0], epsilon=float(eps), seed_trace=key)
+
+
+def _replicate_blocks(theta: Signal, eps: float, n: int, master_seed: int,
+                      first: int, count: int):
+    """Yield X = theta + eps * xi for replicates first .. first + count - 1
+    as row blocks of one reused buffer, which a consumer may overwrite.
+
+    xi of replicate r is the Philox stream keyed (master_seed, r), both mod
+    2^64; resetting one bit generator's key and counter per row draws exactly
+    what a fresh generator would.  A signal with tail energy is observed only
+    up to its stored horizon: past it zero padding would drop that energy.
+    """
+    if theta.tail_energy > 0.0 and n > theta.n:
+        raise ValueError(
+            f"data length n = {n} exceeds the signal horizon N = {theta.n} "
+            "and the signal carries tail energy; increase signal_N or lower n"
+        )
     mean = np.zeros(n)
-    m = min(n, theta.n)
-    mean[:m] = theta.coeffs[:m]
-    return Observation(x=mean + eps * xi, epsilon=float(eps), seed_trace=tuple(key))
+    mean[: theta.n] = theta.coeffs[:n]
+    bitgen = np.random.Philox(key=master_seed % 2**64)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # counter 0 and an empty buffer
+    buffer = np.empty((min(count, max(1, BLOCK_ELEMENTS // n)), n))
+    for start in range(first, first + count, len(buffer)):
+        block = buffer[: first + count - start]
+        for r, row in enumerate(block, start):
+            state["state"]["key"][1] = r % 2**64
+            bitgen.state = state
+            gen.standard_normal(n, out=row)
+        yield np.add(mean, np.multiply(block, eps, out=block), out=block)
 
 
 def _power_tail_bracket(p: float, m: int) -> tuple[float, float]:

@@ -3,8 +3,10 @@
 These deliberately avoid the library's own code paths: the rate suprema
 are found by concave grid refinement, power-law tails come from the
 Hurwitz zeta function, the dimension posterior is rebuilt from raw
-Gaussian density products, and the class and condition checks are the
-plain per-block sums they replace.
+Gaussian density products, the class and condition checks are the plain
+per-block sums they replace, and the Monte Carlo envelope is the scalar
+per-replicate loop (one fresh generator, one posterior and one region
+mass at a time) that the batched kernel replaced.
 """
 
 import math
@@ -143,3 +145,65 @@ def cumsum_head_condition(coeffs, d_tau, H0, eps, n0):
         if head[d - 1] < H0 * eps * eps * d:
             return d
     return None
+
+
+def loop_simulate(theta, eps, n, master_seed, r):
+    """One replicate's data from a fresh Philox generator keyed (master_seed, r)."""
+    key = np.array([master_seed % 2**64, r % 2**64], dtype=np.uint64)
+    xi = np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
+    mean = np.zeros(n)
+    m = min(n, theta.n)
+    mean[:m] = theta.coeffs[:m]
+    return mean + eps * xi
+
+
+def loop_pmf(x, prior):
+    """Scalar posterior of one data vector: (log weights, pmf, tail mass, MAP)."""
+    d = np.arange(1, x.size + 1, dtype=float)
+    values = -np.cumsum(x * x) + prior.A * prior.epsilon**2 * d
+    lw = -values / (2.0 * prior.epsilon**2)
+    try:
+        log_tail = lw[-1] - math.log(math.expm1(prior.varkappa))
+    except OverflowError:
+        log_tail = lw[-1] - prior.varkappa
+    shift = max(float(np.max(lw)), log_tail)
+    w = np.exp(lw - shift)
+    tail_w = math.exp(log_tail - shift)
+    z = float(np.sum(w)) + tail_w
+    return lw, w / z, tail_w / z, int(np.argmin(values)) + 1
+
+
+def loop_region_mass(pmf, tail_mass, log_q, lo, hi):
+    """Scalar mass of {lo <= D <= hi} from one posterior's pmf and lump."""
+    n = pmf.size
+    if lo > hi or hi < 1:
+        return 0.0
+    lo_idx = max(int(lo), 1)
+    total = float(np.sum(pmf[lo_idx - 1 : int(min(hi, n))]))
+    if hi > n:
+        a = max(lo_idx - n, 1)
+        total += (tail_mass * math.exp((a - 1) * log_q)
+                  * -math.expm1((hi - n - a + 1) * log_q))
+    return total
+
+
+def loop_envelope(theta, prior, cfg, regions):
+    """(posterior_mass, mass_se, dhat_freq, freq_se) per offset, one replicate
+    at a time, as the envelope check computed them before batching."""
+    R = cfg.replicates
+    masses = [[0.0] * R for _ in regions]
+    hits = [0] * len(regions)
+    for r in range(R):
+        x = loop_simulate(theta, prior.epsilon, cfg.n, cfg.master_seed, r)
+        _, pmf, tail, d_hat = loop_pmf(x, prior)
+        for j, intervals in enumerate(regions):
+            for lo, hi in intervals:
+                masses[j][r] += loop_region_mass(pmf, tail, -prior.varkappa, lo, hi)
+                hits[j] += lo <= d_hat <= hi
+    rows = []
+    for j in range(len(regions)):
+        freq = hits[j] / R
+        rows.append((float(np.mean(masses[j])),
+                     float(np.std(masses[j], ddof=1) / math.sqrt(R)),
+                     freq, math.sqrt(freq * (1.0 - freq) / R)))
+    return rows

@@ -149,6 +149,23 @@ class TestPosteriorCommand:
         assert message in captured.err and "d_hat" not in captured.out
         assert not out.exists()
 
+    def test_overflow_prints_only_the_error_line(self, tmp_path):
+        # a child process, so that nothing intercepts numpy's warnings
+        cfg = write_config(tmp_path, "c.cfg", """
+            data = 1, 2, 0.5
+            kappa = 7
+            varkappa = 2
+            eps = 1e-160
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "effdim", "posterior", "--config", cfg],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: log posterior weights overflow at eps = 1e-160"]
+
     def test_horizon_enforced_for_tail_signals(self, tmp_path, capsys):
         # a generated signal with positive tail energy cannot be padded
         cfg = write_config(tmp_path, "c.cfg", f"""

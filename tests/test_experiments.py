@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import effdim.signals
 from effdim.experiments import (
     MCConfig,
+    _envelope_report,
     lower_bound_experiment,
     lower_bound_floor,
     mc_overshoot,
@@ -14,15 +18,17 @@ from effdim.experiments import (
     smoothness_estimate,
     smoothness_sweep,
 )
+from effdim.posterior import PriorParams
 from effdim.rates import f_sup, g_sup
 from effdim.signals import (
+    Signal,
     SmoothnessClassParams,
     adversarial_pair,
     power_law_signal,
     zero_signal,
 )
 
-from helpers import prior_with_A
+from helpers import loop_envelope, prior_with_A
 
 
 class TestMCConfig:
@@ -348,3 +354,77 @@ class TestReportCsv:
         text = report_csv(report)
         assert text.startswith("# effdim-report v1 ")
         assert "ambiguous" in text.strip().splitlines()[-1]
+
+
+def block_reports(n):
+    """One report of each kind at data length n, with small R."""
+    cfg = MCConfig(replicates=120, n=n, master_seed=-31, offsets=(1, 2, 3))
+    a6 = prior_with_A(6.0, 2.0, 1.0)
+    short, _ = adversarial_pair(10.0, 1.0, 2, 2, 1.5)
+    params = SmoothnessClassParams(s=1.0, Q=1.0, alpha=0.1, rho0=2.0, N0=2)
+    return [
+        mc_overshoot(zero_signal(n), a6, 1.0, cfg),
+        mc_undershoot(adversarial_pair(9.0, 1.0, 3, 3, 1.1)[1],
+                      prior_with_A(2.0, 0.4, 1.0), 9.0, cfg),
+        mc_two_sided(power_law_signal(2.0, 1.0, 40), a6, 9.0,
+                     MCConfig(replicates=120, n=n, master_seed=5, offsets=(8, 10)),
+                     t0=1.0, N0=1),
+        mc_two_sided(short, prior_with_A(16.0, 7.0, 1.0), 10.0,
+                     MCConfig(replicates=120, n=n, master_seed=9, offsets=(20, 25)),
+                     H0=19.0, n0=1),
+        lower_bound_experiment(1.0, 1.0, 3, 3, 1.1, prior_with_A(2.0, 0.4, 1.0), cfg),
+        smoothness_sweep(params, prior_with_A(3.0, 0.5, 0.3), 1.0, (0.3, 0.1),
+                         cfg, signal_N=64),
+    ]
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_reports_do_not_depend_on_the_block_size(self, monkeypatch, n):
+        reports = block_reports(n)
+        for two_sided in reports[2:4]:  # upper regions start past n + 1: they cut the lump
+            assert two_sided.meta["d_tau"] + two_sided.rows[0].offset + 1 > n + 1
+        default = [report_csv(r) for r in reports]
+        # one row per block, seven rows, and every replicate of a run in one block
+        for elements in (1, 7 * n, 10_000 * n):
+            monkeypatch.setattr(effdim.signals, "BLOCK_ELEMENTS", elements)
+            assert [report_csv(r) for r in block_reports(n)] == default, elements
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        R=st.integers(100, 160),
+        varkappa=st.sampled_from([1e-9, 1e-3, 0.7, 3.0, 709.0, 710.0, 1000.0])
+        | st.floats(1e-9, 1000.0),
+        log_kappa=st.floats(1.01, 4.0),
+        integral=st.booleans(),
+        noise=st.sampled_from([0.5, 2.0, 10.0]),
+        coeffs=st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.0, -2.0, 0.5]),
+                        min_size=1, max_size=60),
+        seed=st.integers(-2**63, 2**63),
+        bounds=st.lists(st.tuples(st.integers(-3, 70), st.integers(-1, 12)),
+                        min_size=1, max_size=4),
+        block=st.sampled_from([1, 7, 2**15]),
+    )
+    def test_envelope_equals_the_scalar_loop(self, n, R, varkappa, log_kappa, integral,
+                                             noise, coeffs, seed, bounds, block):
+        # integral data at eps = 1e-150 are observed exactly, so crit has ties;
+        # at large eps the {d > n} lump keeps a visible share of the mass
+        eps = 1e-150 if integral else noise
+        prior = PriorParams(kappa=math.expm1(log_kappa), varkappa=varkappa, epsilon=eps)
+        theta = Signal(coeffs)
+        cfg = MCConfig(replicates=R, n=n, master_seed=seed, offsets=(1,) * len(bounds))
+        # width -1 means hi = inf; lo runs past n + 1, so regions may cut the lump
+        regions = [[(lo, math.inf if w < 0 else lo + w)] for lo, w in bounds]
+        regions[0].append((n + 2, n + 4))
+        old = effdim.signals.BLOCK_ELEMENTS
+        effdim.signals.BLOCK_ELEMENTS = block * n
+        try:
+            report = _envelope_report("overshoot", theta, prior, 1.0, cfg, None,
+                                      {"alpha": 1.0}, 1, regions)
+        finally:
+            effdim.signals.BLOCK_ELEMENTS = old
+        got = [(r.posterior_mass, r.mass_se, r.dhat_freq, r.freq_se) for r in report.rows]
+        want = loop_envelope(theta, prior, cfg, regions)
+        assert [[float(v).hex() for v in row] for row in got] == [
+            [v.hex() for v in row] for row in want]

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 import effdim.posterior
 from effdim.posterior import (
     PriorParams,
+    _posterior_rows,
+    _region_rows,
     crit,
     log_weights,
     map_dimension,
@@ -20,7 +22,7 @@ from effdim.posterior import (
 from effdim.rates import penalty_constant
 from effdim.signals import power_law_signal, simulate
 
-from helpers import posterior_oracle, prior_with_A
+from helpers import loop_pmf, loop_region_mass, posterior_oracle, prior_with_A
 
 
 class TestPriorParams:
@@ -92,6 +94,11 @@ class TestLogWeights:
             lw = log_weights(x, p)
             expected = -varkappa - 0.5 * math.log(kappa + 1.0) + x[1] ** 2 / (2 * eps * eps)
             assert lw[1] - lw[0] == pytest.approx(expected, rel=1e-10, abs=1e-12)
+
+    def test_non_finite_weights_are_rejected(self):
+        # X^2 / (2 eps^2) overflows: the weights would all be inf, as in pmf
+        with pytest.raises(ValueError, match="log posterior weights overflow at eps = 1e-160"):
+            log_weights([1.0, 2.0, 0.5], PriorParams(kappa=7.0, varkappa=2.0, epsilon=1e-160))
 
     def test_ratio_depends_only_on_window(self):
         p = PriorParams(kappa=3.0, varkappa=0.7, epsilon=0.8)
@@ -398,6 +405,44 @@ class TestRegionMass:
         assert region_mass(post, 1, math.inf) == pytest.approx(1.0, abs=1e-12)
         split = region_mass(post, lo, hi) + region_mass(post, hi + 1, math.inf)
         assert split == pytest.approx(region_mass(post, lo, math.inf), abs=1e-12)
+
+
+class TestKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.integers(1, 9),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        integral=st.booleans(),
+        scale=st.sampled_from([0.1, 1.0, 3.0]),
+        varkappa=st.sampled_from([1e-9, 0.3, 709.0, 710.0, 1000.0]) | st.floats(1e-9, 1000.0),
+        bounds=st.lists(st.tuples(st.integers(-2, 50), st.integers(-1, 8)), max_size=6),
+    )
+    def test_block_rows_equal_the_scalar_posterior(self, rows, n, seed, integral, scale,
+                                                   varkappa, bounds):
+        # integral data with A eps^2 = 2 tie the criterion often; small data
+        # and varkappa leave the lump a share that rounding can move
+        rng = np.random.default_rng(seed)
+        if integral:
+            X = rng.integers(-2, 3, size=(rows, n)).astype(float)
+            prior = prior_with_A(2.0, min(varkappa, 0.45), 1.0)
+        else:
+            X = rng.normal(scale=scale, size=(rows, n))
+            prior = PriorParams(kappa=3.0, varkappa=varkappa, epsilon=0.7)
+        d_hat, lw, w, tail = _posterior_rows(X.copy(), prior)
+        for i in range(rows):
+            want_lw, want_pmf, want_tail, want_map = loop_pmf(X[i], prior)
+            assert lw[i].tobytes() == want_lw.tobytes()
+            assert w[i].tobytes() == want_pmf.tobytes()
+            assert tail[i] == want_tail and d_hat[i] == want_map
+            post = pmf(X[i], prior)
+            assert post.pmf.tobytes() == want_pmf.tobytes() and post.d_hat == want_map
+        # width -1 means hi = inf; lo runs past n + 1, so regions may cut the lump
+        for lo, width in [*bounds, (n + 2, -1), (n + 3, n + 5)]:
+            hi = math.inf if width < 0 else lo + width
+            got = _region_rows(w, tail, -prior.varkappa, lo, hi)
+            for i in range(rows):
+                assert got[i] == loop_region_mass(w[i], tail[i], -prior.varkappa, lo, hi)
 
 
 class TestPmfCsv:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
+import effdim.signals
 from effdim.signals import (
     Signal,
     SmoothnessClassParams,
@@ -20,6 +21,7 @@ from effdim.signals import (
     zero_signal,
     _block_energy,
     _power_tail_bracket,
+    _replicate_blocks,
     _suffix_energy,
 )
 
@@ -120,6 +122,32 @@ class TestSimulate:
         for seed, bad in [(1.5, "1.5"), ((1, 2.5), "2.5"), ((-0.5, 0), "-0.5")]:
             with pytest.raises(ValueError, match=f"^seed must be an integer, got {bad}$"):
                 simulate(theta, 1.0, 3, seed)
+
+
+class TestReplicateBlocks:
+    @pytest.mark.parametrize("n", [1, 20, 2000])
+    @pytest.mark.parametrize("master_seed", [-987654321, 2**63 + 5])
+    def test_rows_are_the_keyed_streams(self, monkeypatch, n, master_seed):
+        # three rows per block and a last block of one: 5 .. 11 is 3 + 3 + 1
+        monkeypatch.setattr(effdim.signals, "BLOCK_ELEMENTS", 3 * n)
+        blocks = [b.copy() for b in _replicate_blocks(zero_signal(n), 1.0, n, master_seed, 5, 7)]
+        assert [len(b) for b in blocks] == [3, 3, 1]
+        for r, row in enumerate(np.concatenate(blocks), start=5):
+            key = np.array([master_seed % 2**64, r % 2**64], dtype=np.uint64)
+            xi = np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
+            assert row.tobytes() == xi.tobytes()
+
+    def test_rows_equal_simulate(self, monkeypatch):
+        theta = power_law_signal(1.0, 1.0, 10)
+        monkeypatch.setattr(effdim.signals, "BLOCK_ELEMENTS", 16)
+        rows = np.concatenate([b.copy() for b in _replicate_blocks(theta, 0.3, 8, -4, 3, 5)])
+        for r, row in enumerate(rows, start=3):
+            assert row.tobytes() == simulate(theta, 0.3, 8, (-4, r)).x.tobytes()
+
+    def test_horizon_of_a_tail_signal(self):
+        with pytest.raises(ValueError, match="exceeds the signal horizon N = 10"):
+            next(_replicate_blocks(power_law_signal(1.0, 1.0, 10), 0.3, 11, 1, 0, 1))
+        assert next(_replicate_blocks(Signal([1.0]), 0.3, 11, 1, 0, 1)).shape == (1, 11)
 
 
 class TestPowerLaw:
